@@ -17,6 +17,7 @@ import numpy as np
 from .backend.session import AdaptableModuleInfo, ModelSession
 
 ADAPTER_MAGIC = b"QSTA"
+ADAPTER_DTYPES = ("float32", "float64")
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,11 @@ def num_trainable(state: AdapterState) -> int:
 def save_adapter(state: AdapterState, path: Union[str, Path]) -> None:
     from .backend.serialize import write_header, write_tensor
 
+    dtypes = {arr.dtype.name for pair in state.factors.values() for arr in pair}
+    if len(dtypes) != 1 or not dtypes <= set(ADAPTER_DTYPES):
+        raise ValueError(f"adapter factors must share one of {ADAPTER_DTYPES}, got {sorted(dtypes)}")
     meta = {
+        "dtype": dtypes.pop(),
         "rank": state.spec.rank,
         "alpha": state.spec.alpha,
         "dropout": state.spec.dropout,
@@ -205,11 +210,17 @@ def load_adapter(path: Union[str, Path]) -> AdapterState:
     with open(path, "rb") as f:
         meta = read_header(f, ADAPTER_MAGIC)
         rank = meta["rank"]
+        # files written before the header carried a dtype hold float32 factors
+        dtype = meta.get("dtype", "float32")
+        if dtype not in ADAPTER_DTYPES:
+            raise ValueError(f"unsupported adapter dtype {dtype!r}")
         factors = {}
         for entry in meta["targets"]:
-            a = read_tensor(f, (rank, entry["d_in"]), "float32")
-            b = read_tensor(f, (entry["d_out"], rank), "float32")
+            a = read_tensor(f, (rank, entry["d_in"]), dtype)
+            b = read_tensor(f, (entry["d_out"], rank), dtype)
             factors[entry["name"]] = (a, b)
+        if f.read(1):
+            raise ValueError("trailing bytes after adapter factors")
     spec = AdapterSpec(
         rank=rank,
         alpha=meta["alpha"],

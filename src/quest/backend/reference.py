@@ -163,6 +163,15 @@ class _RefCore:
     def __init__(self, config: RefConfig, params: dict[str, np.ndarray]):
         self.config = config
         self.params = params
+        # each forward slices its causal mask from this one; building a mask
+        # per call was a noticeable share of a one-token decode step
+        self._causal = np.triu(np.full((config.max_len,) * 2, -np.inf, dtype=config.dtype), k=1)
+
+    def empty_kv(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (key, value) buffers of shape (H, max_len, hd) for ``forward``."""
+        cfg = self.config
+        shape = (cfg.n_head, cfg.max_len, cfg.head_dim)
+        return [(np.empty(shape, cfg.dtype), np.empty(shape, cfg.dtype)) for _ in range(cfg.n_layer)]
 
     # forward -------------------------------------------------------------
 
@@ -171,27 +180,34 @@ class _RefCore:
         ids: Sequence[int],
         adapter: Any = None,
         dropout_rng: Optional[np.random.Generator] = None,
+        kv: Optional[list[tuple[np.ndarray, np.ndarray]]] = None,
+        start: int = 0,
     ) -> tuple[np.ndarray, dict]:
-        """Full-sequence forward. Returns (logits (T, V), cache for backward).
+        """Forward over a chunk at positions ``start..start+T-1``. Returns
+        (logits (T, V), cache for backward).
 
         ``dropout_rng`` switches the adapter branch into training mode; eval
-        calls leave it None and are fully deterministic.
+        calls leave it None and are fully deterministic. ``kv`` is an optional
+        key/value cache from ``empty_kv``: the chunk's keys and values are
+        written at its positions and attention runs over everything cached
+        before them, so a prompt can be fed in one call and decoding continued
+        one token per call. Backward needs the uncached, ``start=0`` form.
         """
         cfg, p = self.config, self.params
         T = len(ids)
-        if T > cfg.max_len:
-            raise ValueError(f"sequence length {T} exceeds max length {cfg.max_len}")
+        if start + T > cfg.max_len:
+            raise ValueError(f"sequence length {start + T} exceeds max length {cfg.max_len}")
         ids_arr = np.asarray(ids, dtype=np.intp)
         if T and (ids_arr.min() < 0 or ids_arr.max() >= cfg.vocab_size):
             raise ValueError("token id out of range")
         factors, scaling, dropout = _adapter_view(adapter)
         train = dropout_rng is not None and dropout > 0.0
 
-        x = p["wte"][ids_arr] + p["wpe"][:T]
+        x = p["wte"][ids_arr] + p["wpe"][start : start + T]
         cache: dict[str, Any] = {"ids": ids_arr, "T": T, "scaling": scaling, "layers": []}
         H, hd = cfg.n_head, cfg.head_dim
         inv_sqrt = 1.0 / math.sqrt(hd)
-        causal = np.triu(np.full((T, T), -np.inf, dtype=x.dtype), k=1)
+        causal = self._causal[start : start + T, : start + T]
 
         def adapted(xin: np.ndarray, name: str):
             out = xin @ p[name].T
@@ -220,6 +236,11 @@ class _RefCore:
             qh = q.reshape(T, H, hd).transpose(1, 0, 2)
             kh = k.reshape(T, H, hd).transpose(1, 0, 2)
             vh = v.reshape(T, H, hd).transpose(1, 0, 2)
+            if kv is not None:
+                K, V = kv[li]
+                K[:, start : start + T] = kh
+                V[:, start : start + T] = vh
+                kh, vh = K[:, : start + T], V[:, : start + T]
             scores = (qh @ kh.transpose(0, 2, 1)) * inv_sqrt + causal
             scores -= scores.max(axis=2, keepdims=True)
             probs = np.exp(scores)
@@ -359,6 +380,14 @@ def _entropy_and_dlogits(logits: np.ndarray) -> tuple[float, np.ndarray]:
     return float(row_h.mean()), dlogits
 
 
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(probs), p=probs)`` draws, from the same
+    generator state, without its per-call validation of ``probs``."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 class ReferenceBackend:
     """Frozen-parameter reference model implementing the backend interface."""
 
@@ -495,10 +524,10 @@ class ReferenceBackend:
             ).digest()
             rng = np.random.default_rng(np.frombuffer(digest, dtype=np.uint32))
 
-        state = _GenState(self.config, self.params, adapter)
-        logits = None
-        for pos, tok in enumerate(prompt):
-            logits = state.step(int(tok), pos)
+        # one forward fills the key/value cache with the whole prompt; each
+        # decode step then feeds a single token
+        kv = self._core.empty_kv()
+        logits = self._core.forward(prompt, adapter=adapter, kv=kv)[0][-1]
         out: list[int] = []
         for _ in range(max_new_tokens):
             if temperature == 0:
@@ -508,60 +537,15 @@ class ReferenceBackend:
                 z -= z.max()
                 probs = np.exp(z)
                 probs /= probs.sum()
-                tok = int(rng.choice(self.vocab_size, p=probs))
+                tok = _draw(probs, rng)
             if tok == self.eos_id:
                 break
             out.append(tok)
             pos = len(prompt) + len(out) - 1
             if pos + 1 >= self.max_len:
                 break
-            logits = state.step(tok, pos)
+            logits = self._core.forward([tok], adapter=adapter, kv=kv, start=pos)[0][0]
         return out
-
-
-class _GenState:
-    """Incremental decoding state: per-layer key/value caches, one row per step."""
-
-    def __init__(self, config: RefConfig, params: dict[str, np.ndarray], adapter: Any):
-        self.cfg = config
-        self.p = params
-        self.factors, self.scaling, _ = _adapter_view(adapter)
-        dt = np.dtype(config.dtype)
-        self.k = [np.empty((config.max_len, config.d_model), dtype=dt) for _ in range(config.n_layer)]
-        self.v = [np.empty((config.max_len, config.d_model), dtype=dt) for _ in range(config.n_layer)]
-
-    def _proj(self, x: np.ndarray, name: str) -> np.ndarray:
-        out = x @ self.p[name].T
-        fac = self.factors.get(name)
-        if fac is not None:
-            A, B = fac
-            out = out + ((x @ A.T) @ B.T) * np.asarray(self.scaling, dtype=x.dtype)
-        return out
-
-    def step(self, tok: int, pos: int) -> np.ndarray:
-        cfg, p = self.cfg, self.p
-        H, hd = cfg.n_head, cfg.head_dim
-        x = p["wte"][tok] + p["wpe"][pos]
-        cur = pos + 1
-        for li in range(cfg.n_layer):
-            a, _ = _rmsnorm(x)
-            q = self._proj(a, f"layers.{li}.attn.q")
-            self.k[li][pos] = self._proj(a, f"layers.{li}.attn.k")
-            self.v[li][pos] = self._proj(a, f"layers.{li}.attn.v")
-            qh = q.reshape(H, hd)
-            kh = self.k[li][:cur].reshape(cur, H, hd)
-            vh = self.v[li][:cur].reshape(cur, H, hd)
-            scores = np.einsum("hd,jhd->hj", qh, kh) / math.sqrt(hd)
-            scores -= scores.max(axis=1, keepdims=True)
-            probs = np.exp(scores)
-            probs /= probs.sum(axis=1, keepdims=True)
-            attn = np.einsum("hj,jhd->hd", probs, vh).reshape(cfg.d_model)
-            x = x + self._proj(attn, f"layers.{li}.attn.o")
-            b, _ = _rmsnorm(x)
-            h = np.square(np.maximum(b @ p[f"layers.{li}.mlp.fc1"].T, 0.0))
-            x = x + h @ p[f"layers.{li}.mlp.fc2"].T
-        xf, _ = _rmsnorm(x)
-        return xf @ p["lm_head"].T
 
 
 def train_reference(

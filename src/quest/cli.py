@@ -122,6 +122,8 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         cfg = replace(cfg, method=METHOD_ALIASES[cfg.method])
     if cfg.method not in engine.METHOD_LABELS:
         raise ValueError(f"unknown method {cfg.method!r}")
+    if not cfg.sc_samples or min(cfg.sc_samples) < 1:
+        raise ValueError("sc_samples must hold one or more positive budgets")
     if cfg.answer_temperature != 0.0:
         raise ValueError("final-answer decoding is always greedy; answer_temperature must be 0")
     run_dir = os.environ.get("QUEST_RUN_DIR")
@@ -274,7 +276,9 @@ def _cmd_answer(args) -> int:
     return 0
 
 
-def _run_eval(cfg: RunConfig, session, items, method: str):
+def _run_eval(cfg: RunConfig, session, items, method: str, sc_samples: int):
+    """One ``evaluate`` sweep; ``sc_samples`` is the self-consistency budget
+    and is unused by the other methods."""
     spec = cfg.adapter_spec(session.backend.adaptable_modules())
     return evaluate(
         session,
@@ -283,6 +287,7 @@ def _run_eval(cfg: RunConfig, session, items, method: str):
         gen_cfg=cfg.generation,
         adapter_spec=spec,
         opt_cfg=cfg.optimization,
+        sc_samples=sc_samples,
         sc_temperature=cfg.sc_temperature,
         max_new_tokens=cfg.answer_max_new_tokens,
         seed=cfg.seed,
@@ -304,10 +309,16 @@ def _cmd_eval(args) -> int:
                 f"conflicting method-specific keys for method {cfg.method!r}: "
                 + ", ".join(conflicting)
             )
+    elif len(cfg.sc_samples) != 1:
+        raise ValueError(
+            "eval samples one self-consistency budget, got sc_samples "
+            + ",".join(map(str, cfg.sc_samples))
+            + "; pass --sc-samples N, or run compare for a sweep"
+        )
     session = _make_sessions(cfg)
     items = _load_items(cfg)
     out = _echo_config(cfg)
-    records, summary = _run_eval(cfg, session, items, cfg.method)
+    records, summary = _run_eval(cfg, session, items, cfg.method, cfg.sc_samples[0])
     bench = Path(cfg.benchmark).stem
     paths = emit_report(records, out / cfg.method, benchmark=bench)
     print(
@@ -328,24 +339,11 @@ def _cmd_compare(args) -> int:
         method = METHOD_ALIASES.get(method, method)
         if method == "self_consistency":
             for n in cfg.sc_samples:
-                records, summary = evaluate(
-                    session,
-                    items,
-                    method,
-                    gen_cfg=cfg.generation,
-                    adapter_spec=cfg.adapter_spec(session.backend.adaptable_modules()),
-                    opt_cfg=cfg.optimization,
-                    sc_samples=n,
-                    sc_temperature=cfg.sc_temperature,
-                    max_new_tokens=cfg.answer_max_new_tokens,
-                    seed=cfg.seed,
-                    system_prompt=cfg.system_prompt,
-                    workers=cfg.workers,
-                )
+                records, summary = _run_eval(cfg, session, items, method, n)
                 all_records.extend(records)
                 print(f"self_consistency@{n}: accuracy {summary['accuracy']:.4f}")
         else:
-            records, summary = _run_eval(cfg, session, items, method)
+            records, summary = _run_eval(cfg, session, items, method, cfg.sc_samples[0])
             all_records.extend(records)
             print(f"{method}: accuracy {summary['accuracy']:.4f}")
     paths = emit_report(all_records, out, benchmark=Path(cfg.benchmark).stem)
@@ -395,3 +393,7 @@ def run_command(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -80,7 +80,17 @@ _THOUSANDS = re.compile(r"(?<=\d),(?=\d{3}(?:[^\d]|$))")
 
 
 def normalize_answer(s: str) -> str:
-    """Canonical comparison form for boxed math answers."""
+    """Canonical comparison form for boxed math answers; normalizing the
+    result again changes nothing."""
+    # one pass can expose more to strip ('. .' -> '.'), so passes repeat; a pass
+    # only shortens, lowercases or turns whitespace into spaces, so this ends
+    prev = None
+    while s != prev:
+        prev, s = s, _normalize_pass(s)
+    return s
+
+
+def _normalize_pass(s: str) -> str:
     s = s.strip()
     m = re.fullmatch(r"\\text\{(.*)\}", s, re.DOTALL)
     if m:
@@ -197,10 +207,15 @@ def _extract_gold(raw: str) -> str:
 
 def load_benchmark(path: Union[str, Path], mode: str = "boxed") -> list[BenchmarkItem]:
     """JSON Lines with fields {id?, problem, answer, choices?}; missing ids become
-    zero-padded indices, malformed lines fail with their line number."""
+    zero-padded indices, malformed lines fail with their line number.
+
+    Ids name per-item directories and seed labels, so each must be unique and
+    one plain path component.
+    """
     if mode not in ANSWER_MODES:
         raise ValueError(f"unknown answer mode {mode!r}")
     items = []
+    line_of_id: dict[str, int] = {}
     path = Path(path)
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -213,11 +228,18 @@ def load_benchmark(path: Union[str, Path], mode: str = "boxed") -> list[Benchmar
             for fname in ("problem", "answer"):
                 if fname not in obj:
                     raise ValueError(f"{path}:{lineno}: missing field {fname!r}")
+            item_id = str(obj.get("id", f"{len(items):04d}"))
+            if item_id in ("", ".", "..") or "/" in item_id or "\\" in item_id:
+                raise ValueError(f"{path}:{lineno}: id {item_id!r} is not a plain name")
+            if item_id in line_of_id:
+                first = line_of_id[item_id]
+                raise ValueError(f"{path}:{lineno}: duplicate id {item_id!r} (first on line {first})")
+            line_of_id[item_id] = lineno
             choices = obj.get("choices")
             try:
                 items.append(
                     BenchmarkItem(
-                        id=str(obj.get("id", f"{len(items):04d}")),
+                        id=item_id,
                         problem=str(obj["problem"]),
                         answer=_extract_gold(obj["answer"]),
                         mode=mode,

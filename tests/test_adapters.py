@@ -242,6 +242,51 @@ class TestAdapterFile:
             assert np.array_equal(loaded.factors[name][0], state.factors[name][0])
             assert np.array_equal(loaded.factors[name][1], state.factors[name][1])
 
+    def test_float64_round_trip(self, tmp_path, random_backend):
+        mods = random_backend.adaptable_modules()
+        state = init_adapter(spec_for_all_modules(mods, rank=2, init_seed=3), mods)
+        rng = np.random.default_rng(2)
+        for a, b in state.factors.values():
+            b[:] = rng.normal(0, 0.1, b.shape)
+        path = tmp_path / "adapter.qsta"
+        save_adapter(state, path)
+        loaded = load_adapter(path)
+        for name, (a, b) in state.factors.items():
+            assert a.dtype == b.dtype == np.float64
+            assert loaded.factors[name][0].dtype == loaded.factors[name][1].dtype == np.float64
+            assert np.array_equal(loaded.factors[name][0], a)
+            assert np.array_equal(loaded.factors[name][1], b)
+
+    def test_trailing_bytes_rejected(self, tmp_path, fresh_backend):
+        mods = fresh_backend.adaptable_modules()
+        path = tmp_path / "adapter.qsta"
+        save_adapter(init_adapter(spec_for_all_modules(mods, rank=2), mods), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_adapter(path)
+
+    def test_header_without_dtype_reads_float32(self, tmp_path, random_backend):
+        from quest.backend.serialize import read_header, write_header
+
+        mods = random_backend.adaptable_modules()
+        path = tmp_path / "adapter.qsta"
+        save_adapter(init_adapter(spec_for_all_modules(mods, rank=2), mods), path)
+        with open(path, "rb") as f:
+            meta = read_header(f, b"QSTA")
+            payload = f.read()
+        assert meta.pop("dtype") == "float64"
+        with open(path, "wb") as f:
+            write_header(f, b"QSTA", meta)
+            f.write(payload)
+        # float64 payload read as float32 leaves half of it over
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_adapter(path)
+        with open(path, "wb") as f:
+            write_header(f, b"QSTA", meta)
+            f.write(np.frombuffer(payload, "<f8").astype("<f4").tobytes())
+        loaded = load_adapter(path)
+        assert all(a.dtype == b.dtype == np.float32 for a, b in loaded.factors.values())
+
 
 def test_generate_transparent_with_zero_b(ab_backend):
     mods = ab_backend.adaptable_modules()

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from quest.adapters import init_adapter, spec_for_all_modules
 from quest.backend import (
     CharTokenizer,
     ModelSession,
@@ -14,7 +17,7 @@ from quest.backend import (
     register_backend,
     save_checkpoint,
 )
-from quest.backend.reference import init_params, param_names
+from quest.backend.reference import _draw, init_params, param_names
 
 
 class TestTokenizer:
@@ -118,6 +121,62 @@ class TestGenerate:
         prompt = ab_backend.tokenize("ab")
         out = ab_backend.generate(prompt, 10_000, 0.9, seed=1)
         assert len(prompt) + len(out) <= ab_backend.max_len
+
+    # outputs of the token-at-a-time decoder this one replaced, on the same model
+    @pytest.mark.parametrize(
+        "prompt,temperature,seed,want",
+        [
+            ("ab", 0.0, None, "ababababababababababab"),
+            ("ba", 0.0, None, "bbabababababababababab"),
+            ("bbb", 0.0, None, "babababababababababab"),
+            ("a", 2.0, 1, "babababab"),
+            ("ab", 2.0, 7, "ababababababaababbabab"),
+            ("ba", 2.0, 1, "bbababababbabbababbabbbabababa"),
+            ("abab", 0.9, 1, "abaabbababababababab"),
+            ("bbb", 2.0, 7, "bababbabababbabababa"),
+        ],
+    )
+    def test_matches_pinned_outputs(self, ab_backend, prompt, temperature, seed, want):
+        out = ab_backend.generate(ab_backend.tokenize(prompt), 40, temperature, seed=seed)
+        assert ab_backend.detokenize(out) == want
+
+    def test_draw_matches_generator_choice(self):
+        rng = np.random.default_rng(0)
+        mine, ref = np.random.default_rng(123), np.random.default_rng(123)
+        for i in range(12_000):
+            size = 2 + i % 97
+            probs = rng.dirichlet(np.full(size, 0.05 if i % 2 else 1.0))
+            assert _draw(probs, mine) == ref.choice(size, p=probs)
+
+
+def _cached_chunk_logits(backend, ids, n_prompt, adapter):
+    """Last-position logits of a prompt forward, then of one-token forwards,
+    all through one key/value cache."""
+    kv = backend._core.empty_kv()
+    rows = [backend._core.forward(ids[:n_prompt], adapter=adapter, kv=kv)[0][-1]]
+    for pos in range(n_prompt, len(ids)):
+        logits, _ = backend._core.forward(ids[pos : pos + 1], adapter=adapter, kv=kv, start=pos)
+        rows.append(logits[-1])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-10)])
+@pytest.mark.parametrize("with_adapter", [False, True])
+def test_cached_chunks_match_full_forward(random_backend, dtype, tol, with_adapter):
+    backend = ReferenceBackend(replace(random_backend.config, dtype=dtype), random_backend.params)
+    adapter = None
+    if with_adapter:
+        mods = backend.adaptable_modules()
+        adapter = init_adapter(spec_for_all_modules(mods, rank=2, alpha=4.0, init_seed=4), mods)
+        rng = np.random.default_rng(5)
+        for _, b in adapter.factors.values():
+            b[:] = rng.normal(0, 0.1, b.shape)
+    ids = np.random.default_rng(6).integers(1, backend.vocab_size, size=40).tolist()
+    n_prompt = 17
+    full = backend.forward_logits(ids, adapter=adapter)[n_prompt - 1 :]
+    cached = _cached_chunk_logits(backend, ids, n_prompt, adapter)
+    assert cached.dtype == np.dtype(dtype)
+    np.testing.assert_allclose(cached, full, rtol=0, atol=tol)
 
 
 class TestAdaptableModules:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,11 @@ class TestLoadConfig:
     def test_method_alias(self):
         assert load_config(None, {"method": "sc"}).method == "self_consistency"
 
+    @pytest.mark.parametrize("budgets", [[], [0, 2]])
+    def test_sc_budgets_must_be_positive(self, budgets):
+        with pytest.raises(ValueError, match="positive budgets"):
+            load_config(None, {"sc_samples": budgets})
+
     def test_echo_round_trip(self, tmp_path):
         cfg = load_config(None, {"seed": 5, "optimization": {"steps": 3}, "method": "tent"})
         path = tmp_path / "echo.json"
@@ -205,6 +214,32 @@ class TestCommands:
         results = (out / "results.csv").read_text().splitlines()
         assert any(row.startswith("self_consistency@2,") for row in results)
 
+    def test_eval_sc_samples_its_budget(self, tmp_path, hybrid_name, bench_path):
+        args = ["--backend", hybrid_name, "--benchmark", str(bench_path),
+                "--sc-samples", "2", "--sc-temperature", "0.8"] + COMMON
+        assert run_command(["eval", "--method", "sc", "--out", str(tmp_path / "e")] + args) == 0
+        assert run_command(["compare", "--methods", "sc", "--out", str(tmp_path / "c")] + args) == 0
+
+        def records(path):
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            for row in rows:
+                row.pop("wall_seconds")
+            return rows
+
+        evaluated = records(tmp_path / "e" / "self_consistency" / "records.jsonl")
+        assert [r["n_samples"] for r in evaluated] == [2, 2, 2]
+        # compare always sampled each budget it was given
+        assert evaluated == records(tmp_path / "c" / "records.jsonl")
+        assert all(0 < r["generated_tokens"] <= 2 * 16 for r in evaluated)
+
+    def test_eval_rejects_sc_budget_list(self, tmp_path, hybrid_name, bench_path, capsys):
+        code = run_command(
+            ["eval", "--method", "sc", "--sc-samples", "2,4", "--backend", hybrid_name,
+             "--benchmark", str(bench_path), "--out", str(tmp_path / "x")]
+        )
+        assert code == 1
+        assert "one self-consistency budget" in capsys.readouterr().err
+
     def test_conflicting_method_keys_rejected(self, tmp_path, hybrid_name, bench_path, capsys):
         code = run_command(
             ["eval", "--method", "base", "--sc-samples", "4", "--backend", hybrid_name,
@@ -242,3 +277,17 @@ class TestCommands:
         )
         assert code == 0
         assert (out / "it0" / "answer.txt").exists()
+
+
+def test_module_entry_point_runs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quest.cli", "selftest"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS config-defaults" in proc.stdout

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quest.backend import ModelSession
@@ -99,6 +99,9 @@ class TestNormalize:
         assert normalize_answer(raw) == want
 
     @given(st.text(alphabet="0123456789abzABZ./,${} \\", max_size=30))
+    @example(". .")
+    @example("1. .")
+    @example("$1$.")
     @settings(max_examples=200, deadline=None)
     def test_idempotent(self, s):
         once = normalize_answer(s)
@@ -219,6 +222,24 @@ class TestLoadBenchmark:
         answer = "Natalia sold 48/2 = 24 clips.\\n#### 1,242"
         path.write_text(json.dumps({"problem": "p", "answer": answer}) + "\n")
         assert load_benchmark(path)[0].answer == "1242"
+
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "bench.jsonl"
+        path.write_text(
+            '{"id": "a", "problem": "p", "answer": "1"}\n'
+            '{"id": "b", "problem": "p", "answer": "1"}\n'
+            '{"id": "a", "problem": "q", "answer": "2"}\n'
+        )
+        with pytest.raises(ValueError, match=r"bench\.jsonl:3: duplicate id 'a' \(first on line 1"):
+            load_benchmark(path)
+
+    @pytest.mark.parametrize("bad", ["", ".", "..", "../escape", "a/b", "a\\b"])
+    def test_id_must_be_plain_name(self, tmp_path, bad):
+        path = tmp_path / "bench.jsonl"
+        lines = [{"problem": "p", "answer": "1"}, {"id": bad, "problem": "p", "answer": "1"}]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        with pytest.raises(ValueError, match=r"bench\.jsonl:2: id .* is not a plain name"):
+            load_benchmark(path)
 
     def test_choice_mode_validation(self, tmp_path):
         path = tmp_path / "bench.jsonl"
