@@ -13,14 +13,7 @@ import time
 
 import numpy as np
 
-from quest.backend import (
-    ModelSession,
-    RefConfig,
-    generate,
-    load_checkpoint,
-    save_checkpoint,
-    train_reference,
-)
+from quest.backend import RefConfig, load_checkpoint, save_checkpoint, train_reference
 
 # A toy corpus: counting lines. After training, the model should continue
 # "3 4 5" patterns on its own.
@@ -37,15 +30,14 @@ t0 = time.perf_counter()
 backend = train_reference(docs, config, steps=1200, lr=3e-3, seed=0, log_every=300)
 print(f"trained {config.n_layer}-layer/{config.d_model}-dim model in {time.perf_counter() - t0:.1f}s")
 
-session = ModelSession(backend=backend, seed=1)
 for prompt in ("0 1 2", "4 5 6", "2 3"):
-    out = generate(session, backend.tokenize(prompt), max_new_tokens=12, temperature=0.0)
+    out = backend.generate(backend.tokenize(prompt), max_new_tokens=12, temperature=0.0)
     print(f"  greedy continuation of {prompt!r} -> {backend.detokenize(out)!r}")
 
 # Sampled generation is seeded and reproducible.
 ids = backend.tokenize("1 2")
-a = generate(session, ids, 10, temperature=0.8)
-b = generate(session, ids, 10, temperature=0.8)
+a = backend.generate(ids, 10, temperature=0.8, seed=1)
+b = backend.generate(ids, 10, temperature=0.8, seed=1)
 print(f"  sampled twice, identical: {a == b}")
 
 # Checkpoints round-trip through the binary container.

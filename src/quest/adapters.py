@@ -99,17 +99,6 @@ def spec_for_all_modules(
     )
 
 
-def effective_weight(
-    base: np.ndarray, a: np.ndarray, b: np.ndarray, scaling: float
-) -> np.ndarray:
-    """base + scaling * (B @ A), without touching base."""
-    if b.shape[1] != a.shape[0] or base.shape != (b.shape[0], a.shape[1]):
-        raise ValueError(
-            f"shape mismatch: base {base.shape}, A {a.shape}, B {b.shape}"
-        )
-    return base + (scaling * (b @ a)).astype(base.dtype, copy=False)
-
-
 def attach(session: ModelSession, state: AdapterState) -> ModelSession:
     """Route subsequent forward/generate calls through the adapter."""
     if session.adapter is not None:

@@ -19,13 +19,7 @@ from .session import (
     available_backends,
     check_loss_mask,
     create_session,
-    detokenize,
-    forward_logits,
-    generate,
-    list_adaptable_modules,
-    masked_nll,
     register_backend,
-    tokenize,
 )
 
 
@@ -51,17 +45,11 @@ __all__ = [
     "available_backends",
     "check_loss_mask",
     "create_session",
-    "detokenize",
-    "forward_logits",
-    "generate",
     "init_params",
-    "list_adaptable_modules",
     "load_checkpoint",
-    "masked_nll",
     "param_names",
     "param_shapes",
     "register_backend",
     "save_checkpoint",
-    "tokenize",
     "train_reference",
 ]

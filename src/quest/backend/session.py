@@ -45,7 +45,9 @@ class Backend(Protocol):
 
     def detokenize(self, tokens: Sequence[int]) -> str: ...
 
-    def forward_logits(self, tokens: Sequence[int], adapter: Any = None) -> np.ndarray: ...
+    def forward_logits(self, tokens: Sequence[int], adapter: Any = None) -> np.ndarray:
+        """Per-position next-token scores, shape (len(tokens), vocab)."""
+        ...
 
     def generate(
         self,
@@ -54,11 +56,21 @@ class Backend(Protocol):
         temperature: float,
         adapter: Any = None,
         seed: Optional[int] = None,
-    ) -> TokenSequence: ...
+    ) -> TokenSequence:
+        """Continue the prompt; temperature 0 is greedy with lowest-id tie-break.
+
+        The returned sequence excludes both the prompt and the end-of-sequence
+        token that terminated decoding. Sampling is a pure function of
+        (parameters, adapter, seed, prompt).
+        """
+        ...
 
     def adaptable_modules(self) -> list[AdaptableModuleInfo]: ...
 
-    def masked_nll(self, tokens: Sequence[int], loss_mask: Sequence[int], adapter: Any = None) -> float: ...
+    def masked_nll(self, tokens: Sequence[int], loss_mask: Sequence[int], adapter: Any = None) -> float:
+        """Mean next-token NLL over mask-1 positions (target t predicted from
+        prefix < t); rejects masks that fail ``check_loss_mask``."""
+        ...
 
 
 @dataclass
@@ -66,8 +78,7 @@ class ModelSession:
     """One backend plus per-run state: rng seed and the attached adapter.
 
     At most one adapter may be attached at a time; attach/detach live in
-    ``quest.adapters``. Sessions are not safe for concurrent writers --
-    clone per worker instead.
+    ``quest.adapters``.
     """
 
     backend: Any
@@ -93,54 +104,6 @@ def check_loss_mask(tokens: Sequence[int], loss_mask: Sequence[int]) -> None:
         raise ValueError("loss mask has no positions set")
     if loss_mask[0]:
         raise ValueError("loss mask must be 0 at position 0 (no prefix to predict from)")
-
-
-# -- session-level operations -------------------------------------------------
-
-
-def tokenize(session: ModelSession, text: str) -> TokenSequence:
-    return session.backend.tokenize(text)
-
-
-def detokenize(session: ModelSession, tokens: Sequence[int]) -> str:
-    return session.backend.detokenize(tokens)
-
-
-def forward_logits(session: ModelSession, tokens: Sequence[int]) -> np.ndarray:
-    """Per-position next-token scores, shape (len(tokens), vocab)."""
-    return session.backend.forward_logits(tokens, adapter=session.adapter)
-
-
-def generate(
-    session: ModelSession,
-    prompt: Sequence[int],
-    max_new_tokens: int,
-    temperature: float = 0.0,
-    seed: Optional[int] = None,
-) -> TokenSequence:
-    """Continue the prompt; temperature 0 is greedy with lowest-id tie-break.
-
-    The returned sequence excludes both the prompt and the end-of-sequence
-    token that terminated decoding. Sampling is a pure function of
-    (parameters, adapter, session seed, explicit seed, prompt).
-    """
-    return session.backend.generate(
-        prompt,
-        max_new_tokens,
-        temperature,
-        adapter=session.adapter,
-        seed=session.seed if seed is None else seed,
-    )
-
-
-def list_adaptable_modules(session: ModelSession) -> list[AdaptableModuleInfo]:
-    return list(session.backend.adaptable_modules())
-
-
-def masked_nll(session: ModelSession, tokens: Sequence[int], loss_mask: Sequence[int]) -> float:
-    """Mean next-token NLL over mask-1 positions (target t predicted from prefix < t)."""
-    check_loss_mask(tokens, loss_mask)
-    return session.backend.masked_nll(tokens, loss_mask, adapter=session.adapter)
 
 
 # -- registry -----------------------------------------------------------------

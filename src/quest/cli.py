@@ -61,7 +61,6 @@ class RunConfig:
     system_prompt: str = DEFAULT_SYSTEM_PROMPT
     out_dir: str = "runs/quest"
     seed: int = 0
-    workers: int = 1
 
     def adapter_spec(self, modules) -> AdapterSpec:
         targets = self.target_modules or tuple(m.name for m in modules)
@@ -166,7 +165,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--system-prompt", dest="system_prompt")
     p.add_argument("--out", dest="out_dir")
     p.add_argument("--seed", dest="seed", type=int)
-    p.add_argument("--workers", dest="workers", type=int)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -292,7 +290,6 @@ def _run_eval(cfg: RunConfig, session, items, method: str, sc_samples: int):
         max_new_tokens=cfg.answer_max_new_tokens,
         seed=cfg.seed,
         system_prompt=cfg.system_prompt,
-        workers=cfg.workers,
     )
 
 

@@ -1,13 +1,15 @@
 """Test-time optimization engine: the query-conditioned self-training pipeline,
 entropy/perplexity-minimization baselines, and self-consistency sampling.
 
-All methods share one recipe: derive an objective from the query, run T AdamW
-updates on low-rank adapter factors while the base stays frozen, answer with
-greedy decoding, then discard the adapter (per-query reset). "T steps" counts
-optimizer updates; each update accumulates gradients over ``grad_accumulation``
-examples visited by cycling the dataset in order (a seeded shuffle sits behind
-a flag). Token telemetry is exact: generated tokens cover every sampling call
-including parse retries, trained tokens count every example visit.
+All methods share one recipe and one loop, ``_train``: run T AdamW updates on
+low-rank adapter factors while the base stays frozen, answer with greedy
+decoding, then discard the adapter (per-query reset). quest trains on
+generated pairs, TLM on the query's NLL, TENT on the query's entropy. "T steps"
+counts optimizer updates; each update accumulates gradients over
+``grad_accumulation`` examples visited by cycling them in order (a seeded
+shuffle sits behind a flag). Token telemetry is exact: generated tokens cover
+every sampling call including parse retries, trained tokens count every
+example visit.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ class OptConfig:
     max_seq_len: int = 4096
     seed: int = 0
     shuffle: bool = False
-    # alternative reading of the step budget: count micro-batches, not updates
-    steps_count_micro: bool = False
 
     def __post_init__(self):
         if self.steps < 0:
@@ -72,12 +72,6 @@ class OptConfig:
             raise ValueError("lr must be >= 0")
         if self.grad_accumulation < 1:
             raise ValueError("grad_accumulation must be positive")
-
-    @property
-    def num_updates(self) -> int:
-        if self.steps_count_micro:
-            return self.steps // self.grad_accumulation
-        return self.steps
 
 
 @dataclass
@@ -129,24 +123,33 @@ def sft_update(
     examples: Sequence[tuple[list[int], list[int]]],
     optimizer: AdamW,
     dropout_rng: Optional[np.random.Generator] = None,
+    loss: str = "nll",
 ) -> float:
     """One optimizer update over a micro-batch of (tokens, mask) examples.
 
-    Returns the mean masked NLL of the batch; gradients are averaged, applied
-    to adapter factors only, and the adapter's step counter advances by one.
+    ``loss`` is ``"nll"`` (masked NLL) or ``"entropy"`` (mean next-token
+    entropy; the mask is unused). Returns the mean loss of the batch;
+    gradients are averaged, applied to adapter factors only, and the
+    adapter's step counter advances by one.
     """
     if not examples:
         raise ValueError("empty batch")
+    if loss not in ("nll", "entropy"):
+        raise ValueError(f"unknown loss {loss!r}; expected 'nll' or 'entropy'")
     adapter = session.adapter
     if adapter is None:
         raise ValueError("no adapter attached")
+    backend = session.backend
     total = 0.0
     summed: dict[str, np.ndarray] = {}
     for tokens, mask in examples:
-        loss, grads = session.backend.masked_nll_with_grads(
-            tokens, mask, adapter, dropout_rng=dropout_rng
-        )
-        total += loss
+        if loss == "entropy":
+            value, grads = backend.entropy_with_grads(tokens, adapter, dropout_rng=dropout_rng)
+        else:
+            value, grads = backend.masked_nll_with_grads(
+                tokens, mask, adapter, dropout_rng=dropout_rng
+            )
+        total += value
         for name, (ga, gb) in grads.items():
             if f"{name}.A" in summed:
                 summed[f"{name}.A"] += ga
@@ -170,6 +173,43 @@ def _visit_order(n_examples: int, total_visits: int, seed: int, shuffle: bool) -
     return order[:total_visits]
 
 
+def _train(
+    session: ModelSession,
+    examples: Sequence[tuple[list[int], list[int]]],
+    spec: AdapterSpec,
+    cfg: OptConfig,
+    loss: str = "nll",
+) -> tuple[AdapterState, AdaptTelemetry]:
+    """Fit a fresh adapter to (tokens, mask) examples with exactly T updates.
+
+    T=0 returns the just-initialized adapter, which is an exact identity.
+    """
+    adapter = init_adapter(spec, session.backend.adaptable_modules())
+    optimizer = AdamW(
+        trainable_parameters(adapter),
+        lr=cfg.lr,
+        betas=cfg.betas,
+        weight_decay=cfg.weight_decay,
+    )
+    dropout_rng = np.random.default_rng(derive_seed(cfg.seed, "dropout"))
+    order = _visit_order(len(examples), cfg.steps * cfg.grad_accumulation, cfg.seed, cfg.shuffle)
+
+    telemetry = AdaptTelemetry()
+    attach(session, adapter)
+    try:
+        for step in range(cfg.steps):
+            batch = [
+                examples[order[step * cfg.grad_accumulation + j]]
+                for j in range(cfg.grad_accumulation)
+            ]
+            value = sft_update(session, batch, optimizer, dropout_rng=dropout_rng, loss=loss)
+            telemetry.loss_trajectory.append(value)
+            telemetry.trained_tokens += sum(len(tokens) for tokens, _ in batch)
+    finally:
+        detach(session)
+    return adapter, telemetry
+
+
 def adapt(
     session: ModelSession,
     dataset: Sequence[AuxPair],
@@ -177,10 +217,7 @@ def adapt(
     cfg: OptConfig,
     system_prompt: str = "",
 ) -> tuple[AdapterState, AdaptTelemetry]:
-    """Fit a fresh adapter to the generated dataset with exactly T updates.
-
-    T=0 returns the just-initialized adapter, which is an exact identity.
-    """
+    """Fit a fresh adapter to the generated dataset with exactly T updates."""
     if not dataset:
         raise ValueError("dataset is empty")
     t0 = time.perf_counter()
@@ -193,31 +230,8 @@ def adapt(
             log.warning("skipping pair: %s", exc)
     if not examples:
         raise ValueError("no valid training examples after truncation")
-
-    adapter = init_adapter(spec, backend.adaptable_modules())
-    optimizer = AdamW(
-        trainable_parameters(adapter),
-        lr=cfg.lr,
-        betas=cfg.betas,
-        weight_decay=cfg.weight_decay,
-    )
-    dropout_rng = np.random.default_rng(derive_seed(cfg.seed, "dropout"))
-    updates = cfg.num_updates
-    order = _visit_order(len(examples), updates * cfg.grad_accumulation, cfg.seed, cfg.shuffle)
-
-    telemetry = AdaptTelemetry(pairs_used=len(examples))
-    attach(session, adapter)
-    try:
-        for step in range(updates):
-            batch = [
-                examples[order[step * cfg.grad_accumulation + j]]
-                for j in range(cfg.grad_accumulation)
-            ]
-            loss = sft_update(session, batch, optimizer, dropout_rng=dropout_rng)
-            telemetry.loss_trajectory.append(loss)
-            telemetry.trained_tokens += sum(len(tokens) for tokens, _ in batch)
-    finally:
-        detach(session)
+    adapter, telemetry = _train(session, examples, spec, cfg)
+    telemetry.pairs_used = len(examples)
     telemetry.wall_seconds = time.perf_counter() - t0
     return adapter, telemetry
 
@@ -366,44 +380,17 @@ def _objective_pipeline(
     spec: AdapterSpec,
     opt_cfg: OptConfig,
     label: str,
-    loss_with_grads: Callable,
+    loss: str,
     max_new_tokens: int,
 ) -> MethodResult:
-    """Shared TENT/TLM loop: optimize one query-derived objective, then answer."""
+    """Shared TENT/TLM pipeline: train on the query text alone, then answer.
+
+    The example's NLL is TLM's objective; TENT's entropy ignores the mask.
+    """
     t0 = time.perf_counter()
-    backend = session.backend
-    tokens = backend.tokenize(query.text)
-    if len(tokens) > backend.max_len:
-        tokens = tokens[: backend.max_len]
-
-    adapter = init_adapter(spec, backend.adaptable_modules())
-    optimizer = AdamW(
-        trainable_parameters(adapter),
-        lr=opt_cfg.lr,
-        betas=opt_cfg.betas,
-        weight_decay=opt_cfg.weight_decay,
-    )
-    dropout_rng = np.random.default_rng(derive_seed(opt_cfg.seed, "dropout"))
-    telemetry = AdaptTelemetry(pairs_used=0)
-    for _ in range(opt_cfg.num_updates):
-        total = 0.0
-        summed: dict[str, np.ndarray] = {}
-        for _ in range(opt_cfg.grad_accumulation):
-            loss, grads = loss_with_grads(tokens, adapter, dropout_rng)
-            total += loss
-            for name, (ga, gb) in grads.items():
-                if f"{name}.A" in summed:
-                    summed[f"{name}.A"] += ga
-                    summed[f"{name}.B"] += gb
-                else:
-                    summed[f"{name}.A"] = ga.copy()
-                    summed[f"{name}.B"] = gb.copy()
-        scale = 1.0 / opt_cfg.grad_accumulation
-        optimizer.step({k: v * scale for k, v in summed.items()})
-        adapter.step_count += 1
-        telemetry.loss_trajectory.append(total * scale)
-        telemetry.trained_tokens += len(tokens) * opt_cfg.grad_accumulation
-
+    tokens = session.backend.tokenize(query.text)[: session.backend.max_len]
+    example = (tokens, [0] + [1] * (len(tokens) - 1))
+    adapter, telemetry = _train(session, [example], spec, opt_cfg, loss=loss)
     text, n_answer = _generate_answer(session, query, adapter, max_new_tokens)
     telemetry.generated_tokens += n_answer
     telemetry.wall_seconds = time.perf_counter() - t0
@@ -420,11 +407,7 @@ def tent(
 ) -> MethodResult:
     """Entropy-minimization baseline over the query's next-token distributions,
     optimized through the same low-rank parameterization as the main method."""
-
-    def loss_with_grads(tokens, adapter, rng):
-        return session.backend.entropy_with_grads(tokens, adapter, dropout_rng=rng)
-
-    return _objective_pipeline(session, query, spec, opt_cfg, "tent", loss_with_grads, max_new_tokens)
+    return _objective_pipeline(session, query, spec, opt_cfg, "tent", "entropy", max_new_tokens)
 
 
 def tlm(
@@ -436,12 +419,7 @@ def tlm(
     max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
 ) -> MethodResult:
     """Input-perplexity-minimization baseline: NLL of the query text itself."""
-
-    def loss_with_grads(tokens, adapter, rng):
-        mask = [0] + [1] * (len(tokens) - 1)
-        return session.backend.masked_nll_with_grads(tokens, mask, adapter, dropout_rng=rng)
-
-    return _objective_pipeline(session, query, spec, opt_cfg, "tlm", loss_with_grads, max_new_tokens)
+    return _objective_pipeline(session, query, spec, opt_cfg, "tlm", "nll", max_new_tokens)
 
 
 def self_consistency(

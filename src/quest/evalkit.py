@@ -13,7 +13,6 @@ import json
 import re
 import string
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -327,13 +326,12 @@ def evaluate(
     seed: int = 0,
     system_prompt: Optional[str] = None,
     generator_session=None,
-    workers: int = 1,
 ) -> tuple[list[EvalRecord], dict]:
     """Run one method over a benchmark with a fresh adapter per item.
 
     Per-item errors are recorded as incorrect (with the error text) and never
     abort the sweep. Fully deterministic for a fixed seed on the reference
-    backend; workers > 1 fans items across threads over cloned sessions.
+    backend.
     """
     from . import engine
     from .adapters import spec_for_all_modules
@@ -418,12 +416,7 @@ def evaluate(
             gold=item.answer, n_samples=n_samples,
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_item, items))
-    else:
-        records = [run_item(item) for item in items]
-
+    records = [run_item(item) for item in items]
     return records, summarize(records)
 
 

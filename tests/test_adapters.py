@@ -1,11 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from quest.adapters import (
     AdapterSpec,
+    AdapterState,
     attach,
     detach,
-    effective_weight,
     init_adapter,
     load_adapter,
     merge,
@@ -78,13 +80,22 @@ class TestInit:
             init_adapter(AdapterSpec(rank=2), modules_64())
 
 
+def merged_weight(base, a, b, alpha):
+    """The weight ``merge`` folds for one module "m0" with factors (A, B)."""
+    session = ModelSession(backend=SimpleNamespace(params={"m0": base}))
+    spec = AdapterSpec(rank=a.shape[0], alpha=alpha, target_modules=("m0",))
+    return merge(session, AdapterState(spec=spec, factors={"m0": (a, b)})).params["m0"]
+
+
 class TestEffectiveWeight:
+    """W + scaling * (B @ A), the weight ``merge`` computes per module."""
+
     def test_zero_b_returns_base_exactly(self):
         rng = np.random.default_rng(0)
         base = rng.normal(size=(8, 8)).astype(np.float32)
         a = rng.normal(size=(2, 8)).astype(np.float32)
         b = np.zeros((8, 2), dtype=np.float32)
-        assert np.array_equal(effective_weight(base, a, b, 2.0), base)
+        assert np.array_equal(merged_weight(base, a, b, 4.0), base)
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(1)
@@ -92,7 +103,7 @@ class TestEffectiveWeight:
         a = rng.normal(size=(3, 8))
         b = rng.normal(size=(8, 3))
         scaling = 32.0 / 3
-        got = effective_weight(base, a, b, scaling)
+        got = merged_weight(base, a, b, 32.0)
         want = np.empty((8, 8))
         for i in range(8):
             for j in range(8):
@@ -103,12 +114,8 @@ class TestEffectiveWeight:
         rng = np.random.default_rng(2)
         base = rng.normal(size=(4, 4))
         keep = base.copy()
-        effective_weight(base, rng.normal(size=(2, 4)), rng.normal(size=(4, 2)), 1.0)
+        merged_weight(base, rng.normal(size=(2, 4)), rng.normal(size=(4, 2)), 2.0)
         assert np.array_equal(base, keep)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            effective_weight(np.zeros((4, 4)), np.zeros((2, 5)), np.zeros((4, 2)), 1.0)
 
 
 class TestAttach:

@@ -10,10 +10,7 @@ from quest.backend import (
     RefConfig,
     ReferenceBackend,
     create_session,
-    forward_logits,
-    generate,
     load_checkpoint,
-    masked_nll,
     register_backend,
     save_checkpoint,
 )
@@ -81,28 +78,23 @@ class TestForward:
 
 class TestGenerate:
     def test_zero_budget(self, fresh_backend):
-        sess = ModelSession(backend=fresh_backend)
-        assert generate(sess, fresh_backend.tokenize("ab"), 0) == []
+        assert fresh_backend.generate(fresh_backend.tokenize("ab"), 0) == []
 
     def test_greedy_deterministic(self, ab_backend):
-        sess = ModelSession(backend=ab_backend, seed=3)
         prompt = ab_backend.tokenize("ab")
-        assert generate(sess, prompt, 8, 0.0) == generate(sess, prompt, 8, 0.0)
+        assert ab_backend.generate(prompt, 8, 0.0, seed=3) == ab_backend.generate(prompt, 8, 0.0, seed=3)
 
     def test_overfit_model_continues_pattern(self, ab_backend):
-        sess = ModelSession(backend=ab_backend)
-        out = generate(sess, ab_backend.tokenize("ab"), 10, 0.0)
+        out = ab_backend.generate(ab_backend.tokenize("ab"), 10, 0.0)
         assert ab_backend.detokenize(out) == "ababababab"
 
     def test_sampled_deterministic_per_seed(self, ab_backend):
-        sess = ModelSession(backend=ab_backend, seed=5)
         prompt = ab_backend.tokenize("a")
-        assert generate(sess, prompt, 8, 0.9) == generate(sess, prompt, 8, 0.9)
+        assert ab_backend.generate(prompt, 8, 0.9, seed=5) == ab_backend.generate(prompt, 8, 0.9, seed=5)
 
     def test_prompt_too_long(self, fresh_backend):
-        sess = ModelSession(backend=fresh_backend)
         with pytest.raises(ValueError, match="exceeds max length"):
-            generate(sess, [1] * (fresh_backend.max_len + 1), 1)
+            fresh_backend.generate([1] * (fresh_backend.max_len + 1), 1)
 
     def test_incremental_matches_full_recompute(self, ab_backend):
         prompt = ab_backend.tokenize("ab")
@@ -196,20 +188,18 @@ class TestAdaptableModules:
 class TestMaskedNll:
     def test_uniform_model(self):
         be = ReferenceBackend.fresh(RefConfig(charset="abc", d_model=16, n_head=2, max_len=16), seed=0)
-        sess = ModelSession(backend=be)
         ids = be.tokenize("abca")
-        value = masked_nll(sess, ids, [0, 1, 1, 1])
+        value = be.masked_nll(ids, [0, 1, 1, 1])
         assert value == pytest.approx(np.log(4), abs=1e-9)
 
     def test_matches_log_softmax_oracle(self, random_backend):
         rng = np.random.default_rng(3)
-        sess = ModelSession(backend=random_backend)
         for _ in range(5):
             ids = rng.integers(1, random_backend.vocab_size, size=10).tolist()
             mask = [0] + rng.integers(0, 2, size=9).tolist()
             if not any(mask):
                 mask[-1] = 1
-            got = masked_nll(sess, ids, mask)
+            got = random_backend.masked_nll(ids, mask)
             logits = random_backend.forward_logits(ids).astype(np.float64)
             want = 0.0
             total = 0
@@ -223,23 +213,19 @@ class TestMaskedNll:
 
     def test_near_perfect_prediction_near_zero(self, ab_backend):
         ids = ab_backend.tokenize("ab" * 10)
-        sess = ModelSession(backend=ab_backend)
-        assert masked_nll(sess, ids, [0] + [1] * (len(ids) - 1)) < 0.05
+        assert ab_backend.masked_nll(ids, [0] + [1] * (len(ids) - 1)) < 0.05
 
     def test_all_zero_mask_rejected(self, fresh_backend):
-        sess = ModelSession(backend=fresh_backend)
         with pytest.raises(ValueError, match="no positions"):
-            masked_nll(sess, [1, 2], [0, 0])
+            fresh_backend.masked_nll([1, 2], [0, 0])
 
     def test_position_zero_mask_rejected(self, fresh_backend):
-        sess = ModelSession(backend=fresh_backend)
         with pytest.raises(ValueError, match="position 0"):
-            masked_nll(sess, [1, 2], [1, 1])
+            fresh_backend.masked_nll([1, 2], [1, 1])
 
     def test_length_mismatch_rejected(self, fresh_backend):
-        sess = ModelSession(backend=fresh_backend)
         with pytest.raises(ValueError, match="length"):
-            masked_nll(sess, [1, 2], [0, 1, 1])
+            fresh_backend.masked_nll([1, 2], [0, 1, 1])
 
 
 class TestFrozenBase:
@@ -249,11 +235,10 @@ class TestFrozenBase:
 
     def test_checksum_stable_across_operations(self, fresh_backend):
         before = fresh_backend.checksum()
-        sess = ModelSession(backend=fresh_backend, seed=1)
         ids = fresh_backend.tokenize("abc def")
-        forward_logits(sess, ids)
-        generate(sess, ids, 4, 0.8)
-        masked_nll(sess, ids, [0] + [1] * (len(ids) - 1))
+        fresh_backend.forward_logits(ids)
+        fresh_backend.generate(ids, 4, 0.8, seed=1)
+        fresh_backend.masked_nll(ids, [0] + [1] * (len(ids) - 1))
         assert fresh_backend.checksum() == before
 
     def test_constructor_copies_caller_arrays(self):

@@ -121,6 +121,17 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="generation.'temperture'"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "removed",
+        [{"workers": 2}, {"optimization": {"steps_count_micro": True}}],
+        ids=["workers", "steps_count_micro"],
+    )
+    def test_removed_keys_rejected(self, tmp_path, removed):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(removed))
+        with pytest.raises(ValueError, match="unknown key"):
+            load_config(path)
+
     def test_method_alias(self):
         assert load_config(None, {"method": "sc"}).method == "self_consistency"
 

@@ -44,10 +44,6 @@ class TestOptConfig:
         assert (cfg.steps, cfg.lr, cfg.grad_accumulation, cfg.max_seq_len) == (10, 1e-4, 4, 4096)
         assert cfg.betas == (0.9, 0.999) and cfg.weight_decay == 0.01
 
-    def test_micro_step_counting_flag(self):
-        assert OptConfig(steps=12, grad_accumulation=4).num_updates == 12
-        assert OptConfig(steps=12, grad_accumulation=4, steps_count_micro=True).num_updates == 3
-
     def test_validation(self):
         with pytest.raises(ValueError):
             OptConfig(steps=-1)
@@ -75,6 +71,11 @@ class TestSftUpdate:
         sess, _, opt, _ = self._setup(fresh_backend)
         with pytest.raises(ValueError, match="empty batch"):
             sft_update(sess, [], opt)
+
+    def test_unknown_loss(self, fresh_backend):
+        sess, _, opt, example = self._setup(fresh_backend)
+        with pytest.raises(ValueError, match="unknown loss"):
+            sft_update(sess, [example], opt, loss="kl")
 
     def test_base_checksum_unchanged(self, fresh_backend):
         before = fresh_backend.checksum()
@@ -309,6 +310,39 @@ class TestTlm:
         spec = spec_for_all_modules(backend.adaptable_modules(), rank=4, init_seed=3)
         result = tlm(sess, q, spec, OptConfig(steps=5, lr=0.0, weight_decay=0.0), max_new_tokens=12)
         assert result.answer_text == base_answer(sess, q, max_new_tokens=12).answer_text
+
+
+class TestObjectivePins:
+    """tent and tlm on ``random_backend`` (float64): loss trajectories and
+    answers recorded when each baseline still had its own accumulation loop."""
+
+    QUERY = Query(id="q", text="bad cafe fade", system_prompt="")
+    WANT = {
+        "tent": (
+            [1.8798976711849338, 1.6946808697495452, 1.5718119290864245, 1.519145205547984],
+            "eeeeffeeee",
+        ),
+        "tlm": (
+            [2.6993513057321503, 2.099740952866288, 1.8197921462183881, 1.6267568362774032],
+            "dfba",
+        ),
+    }
+
+    @pytest.mark.parametrize("method", [tent, tlm], ids=["tent", "tlm"])
+    def test_matches_pinned_run(self, random_backend, method):
+        sess = ModelSession(backend=random_backend, seed=1)
+        spec = spec_for_all_modules(
+            random_backend.adaptable_modules(), rank=2, alpha=4.0, dropout=0.05, init_seed=3
+        )
+        opt = OptConfig(steps=4, lr=3e-2, grad_accumulation=2, seed=5)
+        result = method(sess, self.QUERY, spec, opt, max_new_tokens=10)
+        losses, answer = self.WANT[method.__name__]
+        assert result.telemetry.loss_trajectory == pytest.approx(losses, rel=1e-9, abs=0)
+        assert result.answer_text == answer
+        assert answer != base_answer(sess, self.QUERY, max_new_tokens=10).answer_text
+        assert result.telemetry.trained_tokens == 4 * 2 * len(random_backend.tokenize(self.QUERY.text))
+        assert result.telemetry.pairs_used == 0
+        assert sess.adapter is None
 
 
 class TestSelfConsistency:

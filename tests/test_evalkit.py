@@ -315,14 +315,6 @@ class TestEvaluate:
         assert "backend exploded" in failed[0].error
         assert summary["accuracy"] == pytest.approx(2 / 3)
 
-    def test_workers_match_sequential(self):
-        items = self._items(6)
-        sess = ModelSession(backend=gold_echo_stub(items), seed=0)
-        seq_records, seq_summary = evaluate(sess, items, "base", max_new_tokens=64)
-        par_records, par_summary = evaluate(sess, items, "base", max_new_tokens=64, workers=3)
-        assert [r.item_id for r in par_records] == [r.item_id for r in seq_records]
-        assert par_summary["accuracy"] == seq_summary["accuracy"]
-
     def test_choice_mode_scoring(self):
         items = [
             BenchmarkItem(
