@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -26,6 +27,18 @@ import numpy as np
 from .session import AdaptableModuleInfo, check_loss_mask
 
 _RMS_EPS = 1e-5
+
+# Entries in a ReferenceBackend's memo of adapter-free generate outputs.
+# quest compare draws self-consistency budget n's samples with seeds k < n, so
+# each budget asks again for every sample of the budgets before it, and
+# quest_no_lora asks again for quest's pair-generation requests. The sweep
+# runs budget-major, so about 6 new entries per benchmark item (5 pair slots
+# plus retries, or budget 8's 4 new samples) come between drawing a request
+# and asking for it again: 108 for 18 items, and 4096 entries keep that reuse
+# for sweeps of about 680 items. The vocabulary is capped at 128, so an entry
+# holds one byte per token, at most max_len bytes of prompt and output plus
+# about 300 bytes of Python objects: about 2.3 MB in all at max_len 256.
+_MEMO_ENTRIES = 4096
 
 DEFAULT_CHARSET = "\n\t" + "".join(chr(c) for c in range(32, 127))
 
@@ -410,6 +423,7 @@ class ReferenceBackend:
         self.params = frozen
         self.tokenizer = CharTokenizer(config.charset)
         self._core = _RefCore(config, frozen)
+        self._memo: OrderedDict[tuple, bytes] = OrderedDict()
 
     @classmethod
     def fresh(cls, config: Optional[RefConfig] = None, seed: int = 0) -> "ReferenceBackend":
@@ -507,6 +521,14 @@ class ReferenceBackend:
         adapter: Any = None,
         seed: Optional[int] = None,
     ) -> list[int]:
+        """Greedy (``temperature == 0``) or sampled continuation of ``prompt``.
+
+        Calls without an adapter are served from a least-recently-used memo of
+        ``_MEMO_ENTRIES`` outputs, keyed by the prompt, ``max_new_tokens``,
+        ``temperature`` and, when sampling, the seed; the base parameters are
+        frozen, so a repeated request decodes to the same tokens. Calls with
+        an adapter always decode, since an adapter changes while it trains.
+        """
         if max_new_tokens < 0:
             raise ValueError("max_new_tokens must be >= 0")
         if temperature < 0:
@@ -517,18 +539,46 @@ class ReferenceBackend:
             return []
         if not len(prompt):
             raise ValueError("cannot generate from an empty prompt")
+        ids = np.asarray(prompt, dtype=np.intp)
+        if ids.min() < 0 or ids.max() >= self.vocab_size:
+            raise ValueError("token id out of range")
 
-        rng = None
+        # the digest seeds the sampler, so it stands for the seed in the key;
+        # greedy output does not depend on the seed
+        digest = None
         if temperature > 0:
             digest = hashlib.blake2b(
                 (str(seed) + ":" + ",".join(map(str, prompt))).encode(), digest_size=16
             ).digest()
+        if adapter is not None:
+            return self._decode(ids, max_new_tokens, temperature, adapter, digest)
+        key = (ids.astype(np.uint8).tobytes(), max_new_tokens, temperature, digest)
+        hit = self._memo.get(key)
+        if hit is not None:
+            self._memo.move_to_end(key)
+            return list(hit)
+        out = self._decode(ids, max_new_tokens, temperature, None, digest)
+        self._memo[key] = bytes(out)
+        if len(self._memo) > _MEMO_ENTRIES:
+            self._memo.popitem(last=False)
+        return out
+
+    def _decode(
+        self,
+        ids: np.ndarray,
+        max_new_tokens: int,
+        temperature: float,
+        adapter: Any,
+        digest: Optional[bytes],
+    ) -> list[int]:
+        rng = None
+        if digest is not None:
             rng = np.random.default_rng(np.frombuffer(digest, dtype=np.uint32))
 
         # one forward fills the key/value cache with the whole prompt; each
         # decode step then feeds a single token
         kv = self._core.empty_kv()
-        logits = self._core.forward(prompt, adapter=adapter, kv=kv)[0][-1]
+        logits = self._core.forward(ids, adapter=adapter, kv=kv)[0][-1]
         out: list[int] = []
         for _ in range(max_new_tokens):
             if temperature == 0:
@@ -542,7 +592,7 @@ class ReferenceBackend:
             if tok == self.eos_id:
                 break
             out.append(tok)
-            pos = len(prompt) + len(out) - 1
+            pos = len(ids) + len(out) - 1
             if pos + 1 >= self.max_len:
                 break
             logits = self._core.forward([tok], adapter=adapter, kv=kv, start=pos)[0][0]

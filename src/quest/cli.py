@@ -123,6 +123,8 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         raise ValueError(f"unknown method {cfg.method!r}")
     if not cfg.sc_samples or min(cfg.sc_samples) < 1:
         raise ValueError("sc_samples must hold one or more positive budgets")
+    if len(set(cfg.sc_samples)) != len(cfg.sc_samples):
+        raise ValueError(f"sc_samples repeats a budget: {','.join(map(str, cfg.sc_samples))}")
     if cfg.answer_temperature != 0.0:
         raise ValueError("final-answer decoding is always greedy; answer_temperature must be 0")
     run_dir = os.environ.get("QUEST_RUN_DIR")
@@ -327,13 +329,16 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _config_from_args(args)
+    methods = [m.strip() for m in (args.methods or "base,quest,self_consistency").split(",")]
+    methods = [METHOD_ALIASES.get(m, m) for m in methods]
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"--methods names {', '.join(repeated)} more than once")
     session = _make_sessions(cfg)
     items = _load_items(cfg)
     out = _echo_config(cfg)
-    methods = [m.strip() for m in (args.methods or "base,quest,self_consistency").split(",")]
     all_records = []
     for method in methods:
-        method = METHOD_ALIASES.get(method, method)
         if method == "self_consistency":
             for n in cfg.sc_samples:
                 records, summary = _run_eval(cfg, session, items, method, n)

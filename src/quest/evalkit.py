@@ -457,22 +457,25 @@ def emit_report(
     for record in records:
         by_key.setdefault(_method_key(record), []).append(record)
 
+    def key_order(key: str):
+        # self_consistency@2 before @16: budgets sort as numbers
+        method, _, n = key.partition("@")
+        return (method, int(n) if n else 0)
+
+    keys = sorted(by_key, key=key_order)
+
     with open(paths["results"], "w", encoding="utf-8") as f:
         f.write("method,benchmark,accuracy,mean_tokens,mean_seconds\n")
-        for key in sorted(by_key):
+        for key in keys:
             s = summarize(by_key[key])
             f.write(
                 f"{key},{benchmark},{s['accuracy']:.4f},{s['mean_tokens']:.2f},"
                 f"{s['mean_seconds']:.4f}\n"
             )
 
-    def curve_sort(key: str):
-        method, _, n = key.partition("@")
-        return (method, int(n) if n else 0)
-
     with open(paths["curve"], "w", encoding="utf-8") as f:
         f.write("method,n_samples,mean_tokens,accuracy\n")
-        for key in sorted(by_key, key=curve_sort):
+        for key in keys:
             s = summarize(by_key[key])
             method, _, n = key.partition("@")
             f.write(f"{method},{n},{s['mean_tokens']:.2f},{s['accuracy']:.4f}\n")

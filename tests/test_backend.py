@@ -14,7 +14,8 @@ from quest.backend import (
     register_backend,
     save_checkpoint,
 )
-from quest.backend.reference import _draw, init_params, param_names
+from quest.backend import reference
+from quest.backend.reference import _draw, _RefCore, init_params, param_names
 
 
 class TestTokenizer:
@@ -80,9 +81,12 @@ class TestGenerate:
     def test_zero_budget(self, fresh_backend):
         assert fresh_backend.generate(fresh_backend.tokenize("ab"), 0) == []
 
+    # a second backend over the same parameters decodes again instead of
+    # answering from the first one's memo
     def test_greedy_deterministic(self, ab_backend):
         prompt = ab_backend.tokenize("ab")
-        assert ab_backend.generate(prompt, 8, 0.0, seed=3) == ab_backend.generate(prompt, 8, 0.0, seed=3)
+        twin = ab_backend.with_params(ab_backend.params)
+        assert ab_backend.generate(prompt, 8, 0.0, seed=3) == twin.generate(prompt, 8, 0.0, seed=3)
 
     def test_overfit_model_continues_pattern(self, ab_backend):
         out = ab_backend.generate(ab_backend.tokenize("ab"), 10, 0.0)
@@ -90,7 +94,8 @@ class TestGenerate:
 
     def test_sampled_deterministic_per_seed(self, ab_backend):
         prompt = ab_backend.tokenize("a")
-        assert ab_backend.generate(prompt, 8, 0.9, seed=5) == ab_backend.generate(prompt, 8, 0.9, seed=5)
+        twin = ab_backend.with_params(ab_backend.params)
+        assert ab_backend.generate(prompt, 8, 0.9, seed=5) == twin.generate(prompt, 8, 0.9, seed=5)
 
     def test_prompt_too_long(self, fresh_backend):
         with pytest.raises(ValueError, match="exceeds max length"):
@@ -139,6 +144,92 @@ class TestGenerate:
             size = 2 + i % 97
             probs = rng.dirichlet(np.full(size, 0.05 if i % 2 else 1.0))
             assert _draw(probs, mine) == ref.choice(size, p=probs)
+
+
+@pytest.fixture
+def counted(ab_backend, monkeypatch):
+    """A backend with an empty memo, and the token count of every forward it runs."""
+    calls = []
+    forward = _RefCore.forward
+
+    def counting(self, ids, *args, **kwargs):
+        calls.append(len(ids))
+        return forward(self, ids, *args, **kwargs)
+
+    monkeypatch.setattr(_RefCore, "forward", counting)
+    return ab_backend.with_params(ab_backend.params), calls
+
+
+class TestGenerateMemo:
+    def test_repeat_runs_no_forward(self, counted):
+        backend, calls = counted
+        prompt = backend.tokenize("ab")
+        for temperature, seed in ((0.0, None), (2.0, 7)):
+            first = backend.generate(prompt, 20, temperature, seed=seed)
+            n = len(calls)
+            assert n > 0
+            assert backend.generate(prompt, 20, temperature, seed=seed) == first
+            assert len(calls) == n
+            calls.clear()
+
+    def test_adapter_calls_always_decode(self, counted):
+        backend, calls = counted
+        mods = backend.adaptable_modules()
+        adapter = init_adapter(spec_for_all_modules(mods, rank=2, alpha=4.0), mods)
+        prompt = backend.tokenize("ab")
+        first = backend.generate(prompt, 10, 0.0, adapter=adapter)
+        n = len(calls)
+        assert backend.generate(prompt, 10, 0.0, adapter=adapter) == first
+        assert len(calls) == 2 * n
+        # nor do they fill the memo for adapter-free calls
+        assert backend.generate(prompt, 10, 0.0) == first
+        assert len(calls) == 3 * n
+
+    def test_greedy_hits_across_seeds_sampled_do_not(self, counted):
+        backend, calls = counted
+        prompt = backend.tokenize("ba")
+        greedy = backend.generate(prompt, 20, 0.0, seed=1)
+        n = len(calls)
+        assert backend.generate(prompt, 20, 0.0, seed=2) == greedy
+        assert backend.generate(prompt, 20, 0.0) == greedy
+        assert len(calls) == n
+        backend.generate(prompt, 20, 2.0, seed=1)
+        n = len(calls)
+        backend.generate(prompt, 20, 2.0, seed=2)
+        assert len(calls) > n
+
+    def test_returned_list_is_a_copy(self, counted):
+        backend, _ = counted
+        prompt = backend.tokenize("ab")
+        out = backend.generate(prompt, 12, 2.0, seed=3)
+        want = list(out)
+        out[0] = backend.eos_id
+        out.append(1)
+        assert backend.generate(prompt, 12, 2.0, seed=3) == want
+
+    def test_evicts_least_recently_used(self, counted, monkeypatch):
+        backend, calls = counted
+        monkeypatch.setattr(reference, "_MEMO_ENTRIES", 2)
+        prompt = backend.tokenize("ab")
+
+        def sample(seed):
+            before = len(calls)
+            return backend.generate(prompt, 16, 2.0, seed=seed), len(calls) > before
+
+        a, _ = sample(1)
+        b, _ = sample(2)
+        assert sample(1) == (a, False)  # a is now the most recently used
+        sample(3)  # evicts b
+        assert sample(1) == (a, False)
+        assert sample(2) == (b, True)
+
+    def test_bad_tokens_raise_on_every_call(self, counted):
+        backend, _ = counted
+        backend.generate([1, 2], 4, 0.0)
+        for _ in range(2):
+            # 258 is 2 modulo 256: the memo must not see [1, 2] here
+            with pytest.raises(ValueError, match="token id out of range"):
+                backend.generate([1, 258], 4, 0.0)
 
 
 def _cached_chunk_logits(backend, ids, n_prompt, adapter):

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from quest.backend import register_backend
+from quest.backend import ReferenceBackend, register_backend
+from quest.backend.reference import _RefCore
 from quest.cli import dump_config, load_config, run_command
 
 from conftest import PatternStub
@@ -140,6 +141,10 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="positive budgets"):
             load_config(None, {"sc_samples": budgets})
 
+    def test_sc_budgets_must_be_distinct(self):
+        with pytest.raises(ValueError, match="repeats a budget: 2,2"):
+            load_config(None, {"sc_samples": [2, 2]})
+
     def test_echo_round_trip(self, tmp_path):
         cfg = load_config(None, {"seed": 5, "optimization": {"steps": 3}, "method": "tent"})
         path = tmp_path / "echo.json"
@@ -242,6 +247,68 @@ class TestCommands:
         # compare always sampled each budget it was given
         assert evaluated == records(tmp_path / "c" / "records.jsonl")
         assert all(0 < r["generated_tokens"] <= 2 * 16 for r in evaluated)
+
+    def test_compare_sweep_matches_separate_evals(self, tmp_path, pattern_world, bench_path):
+        # every command gets a backend with an empty generate memo
+        ref = pattern_world["backend"]
+        register_backend(
+            "pattern-hybrid-fresh",
+            lambda: HybridPatternBackend(ref.with_params(ref.params), pattern_world["tag_of"]),
+        )
+        args = ["--backend", "pattern-hybrid-fresh", "--benchmark", str(bench_path),
+                "--sc-temperature", "0.8"] + COMMON
+
+        def records(path):
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            for row in rows:
+                row.pop("wall_seconds")
+            return rows
+
+        separate = []
+        for n in (1, 2, 4):
+            out = tmp_path / f"e{n}"
+            assert run_command(["eval", "--method", "sc", "--sc-samples", str(n), "--out", str(out)] + args) == 0
+            separate += records(out / "self_consistency" / "records.jsonl")
+        out = tmp_path / "c"
+        assert run_command(["compare", "--methods", "sc", "--sc-samples", "1,2,4", "--out", str(out)] + args) == 0
+        assert records(out / "records.jsonl") == separate
+        assert [r["n_samples"] for r in separate] == [1] * 3 + [2] * 3 + [4] * 3
+
+    def test_compare_decodes_each_pair_request_once(self, tmp_path, bench_path, monkeypatch):
+        requests, prefills = [], []
+        generate, forward = ReferenceBackend.generate, _RefCore.forward
+
+        def counting_generate(self, prompt, max_new_tokens, temperature=0.0, adapter=None, seed=None):
+            if "Compose practice problem" in self.detokenize(prompt):
+                requests.append((tuple(prompt), max_new_tokens, temperature, seed))
+            return generate(self, prompt, max_new_tokens, temperature, adapter=adapter, seed=seed)
+
+        def counting_forward(self, ids, *args, **kwargs):
+            if kwargs.get("kv") is not None and not kwargs.get("start"):
+                prefills.append(tuple(ids))
+            return forward(self, ids, *args, **kwargs)
+
+        monkeypatch.setattr(ReferenceBackend, "generate", counting_generate)
+        monkeypatch.setattr(_RefCore, "forward", counting_forward)
+        # an untrained reference model samples unparseable text, so every
+        # pair slot uses all of its retries
+        code = run_command(
+            ["compare", "--methods", "quest,quest_no_lora", "--benchmark", str(bench_path),
+             "--out", str(tmp_path / "c")] + COMMON + ["--gen-max-new", "8", "--retries", "1"]
+        )
+        assert code == 0
+        assert len(requests) == 2 * 3 * 5 * 2  # methods x items x slots x attempts
+        decoded = [ids for ids in prefills if ids in {r[0] for r in requests}]
+        assert len(decoded) == len(set(requests)) == len(requests) // 2
+
+    def test_compare_rejects_repeated_method(self, tmp_path, hybrid_name, bench_path, capsys):
+        code = run_command(
+            ["compare", "--methods", "base,sc,self_consistency", "--backend", hybrid_name,
+             "--benchmark", str(bench_path), "--out", str(tmp_path / "x")]
+        )
+        assert code == 1
+        assert "self_consistency more than once" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_eval_rejects_sc_budget_list(self, tmp_path, hybrid_name, bench_path, capsys):
         code = run_command(

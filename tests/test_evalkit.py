@@ -361,6 +361,16 @@ class TestEmitReport:
         assert [r[1] for r in rows] == ["1", "2", "4"]
         assert tokens == sorted(tokens) and tokens[0] < tokens[-1]
 
+    def test_budgets_sort_as_numbers(self, tmp_path):
+        records = [
+            make_record("self_consistency", "i0", True, 10 * n, n_samples=n) for n in (16, 2)
+        ] + [make_record("base", "i0", True, 5)]
+        paths = emit_report(records, tmp_path)
+        results = [r.split(",")[0] for r in paths["results"].read_text().splitlines()[1:]]
+        assert results == ["base", "self_consistency@2", "self_consistency@16"]
+        curve = [r.split(",")[:2] for r in paths["curve"].read_text().splitlines()[1:]]
+        assert curve == [["base", ""], ["self_consistency", "2"], ["self_consistency", "16"]]
+
     def test_reemit_is_byte_identical(self, tmp_path):
         records = [make_record("quest", f"i{k}", k % 2 == 0, 37 + k) for k in range(4)]
         first = emit_report(records, tmp_path)
