@@ -29,15 +29,16 @@ from .session import AdaptableModuleInfo, check_loss_mask
 _RMS_EPS = 1e-5
 
 # Entries in a ReferenceBackend's memo of adapter-free generate outputs.
-# quest compare draws self-consistency budget n's samples with seeds k < n, so
-# each budget asks again for every sample of the budgets before it, and
-# quest_no_lora asks again for quest's pair-generation requests. The sweep
-# runs budget-major, so about 6 new entries per benchmark item (5 pair slots
-# plus retries, or budget 8's 4 new samples) come between drawing a request
-# and asking for it again: 108 for 18 items, and 4096 entries keep that reuse
-# for sweeps of about 680 items. The vocabulary is capped at 128, so an entry
-# holds one byte per token, at most max_len bytes of prompt and output plus
-# about 300 bytes of Python objects: about 2.3 MB in all at max_len 256.
+# quest compare draws self-consistency budget n's samples with seeds k < n and
+# runs the largest budget first, so every smaller budget asks again for
+# samples the largest one drew, and quest_no_lora asks again for quest's
+# pair-generation requests. The sweep runs budget-major, so about 8 new
+# entries per benchmark item (budget 8's samples, or 5 pair slots plus
+# retries) come between drawing a request and asking for it again: 144 for
+# 18 items, and 4096 entries keep that reuse for sweeps of about 500 items.
+# The vocabulary is capped at 128, so an entry holds one byte per token, at
+# most max_len bytes of prompt and output plus about 300 bytes of Python
+# objects: about 2.3 MB in all at max_len 256.
 _MEMO_ENTRIES = 4096
 
 DEFAULT_CHARSET = "\n\t" + "".join(chr(c) for c in range(32, 127))
@@ -181,10 +182,11 @@ class _RefCore:
         # per call was a noticeable share of a one-token decode step
         self._causal = np.triu(np.full((config.max_len,) * 2, -np.inf, dtype=config.dtype), k=1)
 
-    def empty_kv(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer (key, value) buffers of shape (H, max_len, hd) for ``forward``."""
+    def empty_kv(self, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (key, value) buffers of shape (rows, H, max_len, hd) for a
+        ``forward`` over ``rows`` sequences."""
         cfg = self.config
-        shape = (cfg.n_head, cfg.max_len, cfg.head_dim)
+        shape = (rows, cfg.n_head, cfg.max_len, cfg.head_dim)
         return [(np.empty(shape, cfg.dtype), np.empty(shape, cfg.dtype)) for _ in range(cfg.n_layer)]
 
     # forward -------------------------------------------------------------
@@ -200,19 +202,25 @@ class _RefCore:
         """Forward over a chunk at positions ``start..start+T-1``. Returns
         (logits (T, V), cache for backward).
 
+        ``ids`` of shape (B, T) runs B sequences side by side and returns
+        logits (B, T, V). Every product stays stacked over the row dimension,
+        never flattened to (B*T, d), so each row gets the bits a forward over
+        that row alone would give.
+
         ``dropout_rng`` switches the adapter branch into training mode; eval
         calls leave it None and are fully deterministic. ``kv`` is an optional
-        key/value cache from ``empty_kv``: the chunk's keys and values are
-        written at its positions and attention runs over everything cached
-        before them, so a prompt can be fed in one call and decoding continued
-        one token per call. Backward needs the uncached, ``start=0`` form.
+        key/value cache from ``empty_kv(B)`` for a (B, T) chunk: the chunk's
+        keys and values are written at its positions and attention runs over
+        everything cached before them, so a prompt can be fed in one call and
+        decoding continued one token per call. Backward needs the one-row,
+        uncached, ``start=0`` form.
         """
         cfg, p = self.config, self.params
-        T = len(ids)
+        ids_arr = np.asarray(ids, dtype=np.intp)
+        lead, T = ids_arr.shape[:-1], ids_arr.shape[-1]
         if start + T > cfg.max_len:
             raise ValueError(f"sequence length {start + T} exceeds max length {cfg.max_len}")
-        ids_arr = np.asarray(ids, dtype=np.intp)
-        if T and (ids_arr.min() < 0 or ids_arr.max() >= cfg.vocab_size):
+        if ids_arr.size and (ids_arr.min() < 0 or ids_arr.max() >= cfg.vocab_size):
             raise ValueError("token id out of range")
         factors, scaling, dropout = _adapter_view(adapter)
         train = dropout_rng is not None and dropout > 0.0
@@ -222,6 +230,7 @@ class _RefCore:
         H, hd = cfg.n_head, cfg.head_dim
         inv_sqrt = 1.0 / math.sqrt(hd)
         causal = self._causal[start : start + T, : start + T]
+        heads, merged = (*lead, T, H, hd), (*lead, T, cfg.d_model)
 
         def adapted(xin: np.ndarray, name: str):
             out = xin @ p[name].T
@@ -246,21 +255,25 @@ class _RefCore:
             q, lc["q_cache"] = adapted(a, f"layers.{li}.attn.q")
             k, lc["k_cache"] = adapted(a, f"layers.{li}.attn.k")
             v, lc["v_cache"] = adapted(a, f"layers.{li}.attn.v")
-            # head-major (H, T, hd) layout so the contractions hit BLAS
-            qh = q.reshape(T, H, hd).transpose(1, 0, 2)
-            kh = k.reshape(T, H, hd).transpose(1, 0, 2)
-            vh = v.reshape(T, H, hd).transpose(1, 0, 2)
+            # head-major (..., H, T, hd) layout so the contractions hit BLAS
+            qh = q.reshape(heads).swapaxes(-3, -2)
+            kh = k.reshape(heads).swapaxes(-3, -2)
+            vh = v.reshape(heads).swapaxes(-3, -2)
             if kv is not None:
                 K, V = kv[li]
-                K[:, start : start + T] = kh
-                V[:, start : start + T] = vh
-                kh, vh = K[:, : start + T], V[:, : start + T]
-            scores = (qh @ kh.transpose(0, 2, 1)) * inv_sqrt + causal
-            scores -= scores.max(axis=2, keepdims=True)
-            probs = np.exp(scores)
-            probs /= probs.sum(axis=2, keepdims=True)
-            attn = (probs @ vh).transpose(1, 0, 2).reshape(T, cfg.d_model)
+                K[..., start : start + T, :] = kh
+                V[..., start : start + T, :] = vh
+                kh, vh = K[..., : start + T, :], V[..., : start + T, :]
+            # in place: a (B, H, T, T) prompt chunk holds one such array at a time
+            probs = qh @ kh.swapaxes(-1, -2)
+            probs *= inv_sqrt
+            probs += causal
+            probs -= probs.max(axis=-1, keepdims=True)
+            np.exp(probs, out=probs)
+            probs /= probs.sum(axis=-1, keepdims=True)
+            attn = (probs @ vh).swapaxes(-3, -2).reshape(merged)
             lc["qh"], lc["kh"], lc["vh"], lc["probs"], lc["attn"] = qh, kh, vh, probs, attn
+            del probs  # lc holds it; a cached forward then frees it with lc
             o, lc["o_cache"] = adapted(attn, f"layers.{li}.attn.o")
             x = x + o
 
@@ -271,7 +284,9 @@ class _RefCore:
             h_act = np.square(np.maximum(h_pre, 0.0))
             lc["h_pre"], lc["h_act"] = h_pre, h_act
             x = x + h_act @ p[f"layers.{li}.mlp.fc2"].T
-            cache["layers"].append(lc)
+            if kv is None:
+                # a cached forward keeps no activations: backward never takes one
+                cache["layers"].append(lc)
 
         cache["final_in"] = x
         xf, f_inv = _rmsnorm(x)
@@ -513,6 +528,47 @@ class ReferenceBackend:
 
     # -- generation ---------------------------------------------------------
 
+    def _request(
+        self,
+        prompt: Sequence[int],
+        max_new_tokens: int,
+        temperature: float,
+        seed: Optional[int],
+    ) -> Optional[tuple[np.ndarray, Optional[bytes]]]:
+        """Validate one generate request. Returns None when there is nothing
+        to decode, else the prompt ids and, when sampling, the digest that
+        seeds the sampler."""
+        if max_new_tokens < 0:
+            raise ValueError("max_new_tokens must be >= 0")
+        if temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if len(prompt) > self.max_len:
+            raise ValueError(f"prompt length {len(prompt)} exceeds max length {self.max_len}")
+        if max_new_tokens == 0:
+            return None
+        if not len(prompt):
+            raise ValueError("cannot generate from an empty prompt")
+        ids = np.asarray(prompt, dtype=np.intp)
+        if ids.min() < 0 or ids.max() >= self.vocab_size:
+            raise ValueError("token id out of range")
+        digest = None
+        if temperature > 0:
+            digest = hashlib.blake2b(
+                (str(seed) + ":" + ",".join(map(str, prompt))).encode(), digest_size=16
+            ).digest()
+        return ids, digest
+
+    @staticmethod
+    def _memo_key(ids: np.ndarray, max_new_tokens: int, temperature: float, digest) -> tuple:
+        # the digest seeds the sampler, so it stands for the seed in the key;
+        # greedy output does not depend on the seed
+        return (ids.astype(np.uint8).tobytes(), max_new_tokens, temperature, digest)
+
+    def _remember(self, key: tuple, out: list[int]) -> None:
+        self._memo[key] = bytes(out)
+        if len(self._memo) > _MEMO_ENTRIES:
+            self._memo.popitem(last=False)
+
     def generate(
         self,
         prompt: Sequence[int],
@@ -528,40 +584,63 @@ class ReferenceBackend:
         ``temperature`` and, when sampling, the seed; the base parameters are
         frozen, so a repeated request decodes to the same tokens. Calls with
         an adapter always decode, since an adapter changes while it trains.
+        ``prefetch`` fills the memo for many requests at once.
         """
-        if max_new_tokens < 0:
-            raise ValueError("max_new_tokens must be >= 0")
-        if temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if len(prompt) > self.max_len:
-            raise ValueError(f"prompt length {len(prompt)} exceeds max length {self.max_len}")
-        if max_new_tokens == 0:
+        request = self._request(prompt, max_new_tokens, temperature, seed)
+        if request is None:
             return []
-        if not len(prompt):
-            raise ValueError("cannot generate from an empty prompt")
-        ids = np.asarray(prompt, dtype=np.intp)
-        if ids.min() < 0 or ids.max() >= self.vocab_size:
-            raise ValueError("token id out of range")
-
-        # the digest seeds the sampler, so it stands for the seed in the key;
-        # greedy output does not depend on the seed
-        digest = None
-        if temperature > 0:
-            digest = hashlib.blake2b(
-                (str(seed) + ":" + ",".join(map(str, prompt))).encode(), digest_size=16
-            ).digest()
+        ids, digest = request
         if adapter is not None:
-            return self._decode(ids, max_new_tokens, temperature, adapter, digest)
-        key = (ids.astype(np.uint8).tobytes(), max_new_tokens, temperature, digest)
+            return self._decode(ids[None], max_new_tokens, temperature, adapter, [digest])[0]
+        key = self._memo_key(ids, max_new_tokens, temperature, digest)
         hit = self._memo.get(key)
         if hit is not None:
             self._memo.move_to_end(key)
             return list(hit)
-        out = self._decode(ids, max_new_tokens, temperature, None, digest)
-        self._memo[key] = bytes(out)
-        if len(self._memo) > _MEMO_ENTRIES:
-            self._memo.popitem(last=False)
+        out = self._decode(ids[None], max_new_tokens, temperature, None, [digest])[0]
+        self._remember(key, out)
         return out
+
+    def prefetch(
+        self,
+        requests: Sequence[tuple[Sequence[int], Optional[int]]],
+        max_new_tokens: int,
+        temperature: float = 0.0,
+    ) -> None:
+        """Decode adapter-free ``(prompt, seed)`` requests in lock-step into
+        the generate memo, so the ``generate`` calls that follow are hits.
+
+        Requests with prompts of one length decode together, one forward per
+        step for all of their rows; each row samples with its own seed, and
+        its output is the one ``generate`` alone would give. Requests already
+        in the memo, repeated ones and ones ``generate`` rejects are skipped,
+        so ``generate`` still raises for the last.
+        """
+        groups: dict[int, dict[tuple, tuple[np.ndarray, Optional[bytes]]]] = {}
+        for prompt, seed in requests:
+            try:
+                request = self._request(prompt, max_new_tokens, temperature, seed)
+            except ValueError:
+                continue
+            if request is None:  # max_new_tokens is 0: nothing to decode
+                return
+            ids, digest = request
+            key = self._memo_key(ids, max_new_tokens, temperature, digest)
+            if key in self._memo:
+                self._memo.move_to_end(key)
+                continue
+            groups.setdefault(len(ids), {})[key] = (ids, digest)
+        for group in groups.values():
+            rows = list(group.values())
+            outs = self._decode(
+                np.stack([ids for ids, _ in rows]),
+                max_new_tokens,
+                temperature,
+                None,
+                [digest for _, digest in rows],
+            )
+            for key, out in zip(group, outs):
+                self._remember(key, out)
 
     def _decode(
         self,
@@ -569,34 +648,51 @@ class ReferenceBackend:
         max_new_tokens: int,
         temperature: float,
         adapter: Any,
-        digest: Optional[bytes],
-    ) -> list[int]:
-        rng = None
-        if digest is not None:
-            rng = np.random.default_rng(np.frombuffer(digest, dtype=np.uint32))
+        digests: Sequence[Optional[bytes]],
+    ) -> list[list[int]]:
+        """Continue B prompts of one length, ``ids`` (B, P), in lock-step.
 
-        # one forward fills the key/value cache with the whole prompt; each
-        # decode step then feeds a single token
-        kv = self._core.empty_kv()
-        logits = self._core.forward(ids, adapter=adapter, kv=kv)[0][-1]
-        out: list[int] = []
-        for _ in range(max_new_tokens):
+        One forward fills the key/value cache with every prompt; each step
+        then feeds one token per row still decoding. A row stops at the
+        end-of-sequence token, at ``max_new_tokens`` or at the context window,
+        and the rows left are compacted; no forward runs once none is left.
+        """
+        n_rows, pos = ids.shape
+        rngs = [
+            None if d is None else np.random.default_rng(np.frombuffer(d, dtype=np.uint32))
+            for d in digests
+        ]
+        outs: list[list[int]] = [[] for _ in range(n_rows)]
+        live = list(range(n_rows))
+        eos, window = self.eos_id, self.max_len
+        kv = self._core.empty_kv(n_rows)
+        logits = self._core.forward(ids, adapter=adapter, kv=kv)[0][:, -1]
+        while True:
             if temperature == 0:
-                tok = int(np.argmax(logits))
+                toks = logits.argmax(axis=1).tolist()
             else:
                 z = logits.astype(np.float64) / temperature
-                z -= z.max()
+                z -= z.max(axis=1)[:, None]
                 probs = np.exp(z)
-                probs /= probs.sum()
-                tok = _draw(probs, rng)
-            if tok == self.eos_id:
-                break
-            out.append(tok)
-            pos = len(ids) + len(out) - 1
-            if pos + 1 >= self.max_len:
-                break
-            logits = self._core.forward([tok], adapter=adapter, kv=kv, start=pos)[0][0]
-        return out
+                probs /= probs.sum(axis=1)[:, None]
+                toks = [_draw(p, rngs[row]) for p, row in zip(probs, live)]
+            fits = pos + 1 < window
+            keep = []
+            for i, tok in enumerate(toks):
+                if tok != eos:
+                    out = outs[live[i]]
+                    out.append(tok)
+                    if fits and len(out) < max_new_tokens:
+                        keep.append(i)
+            if not keep:
+                return outs
+            if len(keep) < len(live):
+                live = [live[i] for i in keep]
+                toks = [toks[i] for i in keep]
+                kv = [(K[keep], V[keep]) for K, V in kv]
+            step = np.array(toks, dtype=np.intp)[:, None]
+            logits = self._core.forward(step, adapter=adapter, kv=kv, start=pos)[0][:, 0]
+            pos += 1
 
 
 def train_reference(

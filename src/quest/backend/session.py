@@ -34,6 +34,13 @@ class Backend(Protocol):
     ``factors`` (mapping module name -> (A, B) arrays), ``scaling`` and
     ``spec.dropout``. Gradient entry points are only required of backends
     meant to be optimized at test time.
+
+    A backend may also offer ``prefetch(requests, max_new_tokens,
+    temperature)``: it decodes adapter-free ``(prompt, seed)`` requests
+    together so that the ``generate`` calls that follow return their outputs
+    without decoding again. It is optional; callers look it up with
+    ``getattr`` and otherwise call ``generate`` alone, which must return the
+    same tokens either way.
     """
 
     name: str

@@ -57,7 +57,6 @@ class RunConfig:
     sc_samples: tuple[int, ...] = (1, 2, 4, 8)
     sc_temperature: float = 0.8
     answer_max_new_tokens: int = 4096
-    answer_temperature: float = 0.0
     system_prompt: str = DEFAULT_SYSTEM_PROMPT
     out_dir: str = "runs/quest"
     seed: int = 0
@@ -125,8 +124,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         raise ValueError("sc_samples must hold one or more positive budgets")
     if len(set(cfg.sc_samples)) != len(cfg.sc_samples):
         raise ValueError(f"sc_samples repeats a budget: {','.join(map(str, cfg.sc_samples))}")
-    if cfg.answer_temperature != 0.0:
-        raise ValueError("final-answer decoding is always greedy; answer_temperature must be 0")
     run_dir = os.environ.get("QUEST_RUN_DIR")
     if run_dir:
         cfg = replace(cfg, out_dir=run_dir)
@@ -334,14 +331,24 @@ def _cmd_compare(args) -> int:
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
         raise ValueError(f"--methods names {', '.join(repeated)} more than once")
+    unknown = [m for m in methods if m not in engine.METHOD_LABELS]
+    if unknown:
+        raise ValueError(
+            f"unknown method {', '.join(map(repr, unknown))}; expected one of {engine.METHOD_LABELS}"
+        )
     session = _make_sessions(cfg)
     items = _load_items(cfg)
     out = _echo_config(cfg)
     all_records = []
     for method in methods:
         if method == "self_consistency":
+            # largest budget first: its samples decode in lock-step and the
+            # smaller budgets, which draw a prefix of them, read the memo
+            sweep = {}
+            for n in sorted(cfg.sc_samples, reverse=True):
+                sweep[n] = _run_eval(cfg, session, items, method, n)
             for n in cfg.sc_samples:
-                records, summary = _run_eval(cfg, session, items, method, n)
+                records, summary = sweep[n]
                 all_records.extend(records)
                 print(f"self_consistency@{n}: accuracy {summary['accuracy']:.4f}")
         else:

@@ -438,16 +438,21 @@ def self_consistency(
         raise ValueError("self-consistency requires temperature > 0")
     t0 = time.perf_counter()
     prompt_ids = _answer_prompt_ids(session, query)
+    seeds = [derive_seed(session.seed, "sc", k) for k in range(n_samples)]
+    prefetch = getattr(session.backend, "prefetch", None)
+    if prefetch is not None and session.adapter is None:
+        # the n samples decode in lock-step; the generate calls below read them
+        prefetch([(prompt_ids, seed) for seed in seeds], max_new_tokens, temperature)
     texts = []
     answers = []
     total_tokens = 0
-    for k in range(n_samples):
+    for seed in seeds:
         out = session.backend.generate(
             prompt_ids,
             max_new_tokens,
             temperature,
             adapter=session.adapter,
-            seed=derive_seed(session.seed, "sc", k),
+            seed=seed,
         )
         total_tokens += len(out)
         text = session.backend.detokenize(out)

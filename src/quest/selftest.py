@@ -3,7 +3,8 @@
 Covers the contracts a user must be able to trust before attaching a real
 backend: default-config fidelity, adapter identity at init, merge
 equivalence, gradient fidelity against finite differences, frozen-base
-isolation, and the answer-equivalence scorer. Returns a process exit code;
+isolation, lock-step decoding equal to one-request decoding, and the
+answer-equivalence scorer. Returns a process exit code;
 each check prints one PASS/FAIL line.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adapters import init_adapter, merge, spec_for_all_modules, unmerge
-from .backend import ModelSession, RefConfig, ReferenceBackend
+from .backend import ModelSession, RefConfig, ReferenceBackend, param_shapes
 from .evalkit import answers_equivalent, majority_vote
 from .engine import OptConfig, quest, tent, tlm
 from .supervision import GenConfig, Query
@@ -33,7 +34,6 @@ def _check_config_defaults() -> None:
         "n_pairs": (cfg.generation.n_pairs, 5),
         "gen_max_new_tokens": (cfg.generation.max_new_tokens, 4096),
         "answer_max_new_tokens": (cfg.answer_max_new_tokens, 4096),
-        "answer_temperature": (cfg.answer_temperature, 0.0),
     }
     for name, (got, want) in expectations.items():
         assert got == want, f"default {name} = {got!r}, expected {want!r}"
@@ -121,6 +121,29 @@ def _check_frozen_base() -> None:
     assert session.adapter is None, "adapter left attached"
 
 
+def _check_prefetch_matches_generate() -> None:
+    """``prefetch`` then ``generate`` returns what ``generate`` alone decodes."""
+    cfg = RefConfig(charset="abcdefgh <>/:\n", n_layer=2, d_model=32, n_head=4, max_len=40)
+    rng = np.random.default_rng(5)
+    params = {name: rng.normal(0, 0.3, shape) for name, shape in param_shapes(cfg).items()}
+    # prompts of three lengths, then a repeated request and a bad token id, both skipped
+    requests = [
+        (rng.integers(1, cfg.vocab_size, size=n).tolist(), seed)
+        for n, seed in ((3, 0), (3, 1), (9, 2), (3, 3), (30, 4), (9, 5), (3, 6))
+    ]
+    requests += [requests[1], ([1, cfg.vocab_size], 7)]
+    for temperature in (0.0, 1.5):
+        lockstep, alone = ReferenceBackend(cfg, params), ReferenceBackend(cfg, params)
+        lockstep.prefetch(requests, 24, temperature)
+        distinct = {(tuple(p), s if temperature else None) for p, s in requests[:-1]}
+        assert len(lockstep._memo) == len(distinct), "prefetch left requests undecoded"
+        for prompt, seed in requests[:-1]:
+            want = alone.generate(prompt, 24, temperature, seed=seed)
+            assert lockstep.generate(prompt, 24, temperature, seed=seed) == want, (
+                f"lock-step output differs for seed {seed} at temperature {temperature}"
+            )
+
+
 def _check_scorer() -> None:
     cases = [
         ("1/2", "0.5", True),
@@ -143,6 +166,7 @@ CHECKS = [
     ("merge-equivalence", _check_merge_equivalence),
     ("gradient-fidelity", _check_gradient_fidelity),
     ("frozen-base-isolation", _check_frozen_base),
+    ("prefetch-matches-generate", _check_prefetch_matches_generate),
     ("answer-scorer", _check_scorer),
 ]
 

@@ -163,11 +163,19 @@ def _generate_pairs(
     if session.adapter is not None:
         raise ValueError("pair generation must run on the frozen base (detach the adapter)")
     backend = session.backend
+    prompts = {i: backend.tokenize(prompt_for(i)) for i in range(1, cfg.n_pairs + 1)}
+    prefetch = getattr(backend, "prefetch", None)
+    if prefetch is not None:
+        # every slot's first attempt decodes in lock-step; retries decode alone
+        prefetch(
+            [(ids, derive_seed(session.seed, "pairgen", i, 0)) for i, ids in prompts.items()],
+            cfg.max_new_tokens,
+            cfg.temperature,
+        )
     pairs: list[AuxPair] = []
     total_tokens = 0
     calls = 0
-    for i in range(1, cfg.n_pairs + 1):
-        prompt_ids = backend.tokenize(prompt_for(i))
+    for i, prompt_ids in prompts.items():
         for attempt in range(cfg.max_parse_retries + 1):
             calls += 1
             try:

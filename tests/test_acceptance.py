@@ -13,7 +13,7 @@ import pytest
 from quest.adapters import init_adapter, spec_for_all_modules
 from quest.backend import ModelSession, RefConfig, ReferenceBackend
 from quest.backend.reference import init_params
-from quest.cli import RunConfig, run_command
+from quest.cli import RunConfig, load_config, run_command
 from quest.engine import OptConfig, adapt, quest, tent, tlm
 from quest.evalkit import (
     BenchmarkItem,
@@ -23,6 +23,7 @@ from quest.evalkit import (
     extract_boxed,
     majority_vote,
 )
+from quest.selftest import _check_prefetch_matches_generate
 from quest.supervision import AuxPair, GenConfig, Query
 
 from conftest import PATTERN_SYMS, StubBackend
@@ -326,7 +327,14 @@ def test_criterion_9_token_accounting(tmp_path):
     print("PASS criterion-9 token-accounting (sc mean = n*L exactly; quest point = gen + trained)")
 
 
-def test_criterion_10_config_fidelity(capsys):
+def test_lockstep_decoding_matches_generate():
+    """Requests decoded together by ``prefetch`` read back through ``generate``
+    as the tokens ``generate`` alone decodes; the same check runs in selftest."""
+    _check_prefetch_matches_generate()
+    print("PASS lockstep-decoding (prefetch then generate == generate alone)")
+
+
+def test_criterion_10_config_fidelity(tmp_path, capsys):
     """selftest (exit 0) asserts the default run config reproduces the
     reference hyperparameters exactly."""
     cfg = RunConfig()
@@ -339,7 +347,11 @@ def test_criterion_10_config_fidelity(capsys):
     assert cfg.generation.n_pairs == 5
     assert cfg.generation.max_new_tokens == 4096
     assert cfg.answer_max_new_tokens == 4096
-    assert cfg.answer_temperature == 0.0
+    # final answers are always greedy; a config that sets their temperature is rejected
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"answer_temperature": 0.0}))
+    with pytest.raises(ValueError, match="unknown key 'answer_temperature'"):
+        load_config(path)
     assert run_command(["selftest"]) == 0
     assert "PASS config-defaults" in capsys.readouterr().out
     print("PASS criterion-10 config-fidelity (defaults match, selftest exit 0)")

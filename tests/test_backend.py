@@ -147,17 +147,23 @@ class TestGenerate:
 
 
 @pytest.fixture
-def counted(ab_backend, monkeypatch):
-    """A backend with an empty memo, and the token count of every forward it runs."""
+def forward_shapes(monkeypatch):
+    """The shape of the ids of every ``_RefCore.forward`` call."""
     calls = []
     forward = _RefCore.forward
 
     def counting(self, ids, *args, **kwargs):
-        calls.append(len(ids))
+        calls.append(np.shape(ids))
         return forward(self, ids, *args, **kwargs)
 
     monkeypatch.setattr(_RefCore, "forward", counting)
-    return ab_backend.with_params(ab_backend.params), calls
+    return calls
+
+
+@pytest.fixture
+def counted(ab_backend, forward_shapes):
+    """A backend with an empty memo, and the ids shape of every forward it runs."""
+    return ab_backend.with_params(ab_backend.params), forward_shapes
 
 
 class TestGenerateMemo:
@@ -232,15 +238,133 @@ class TestGenerateMemo:
                 backend.generate([1, 258], 4, 0.0)
 
 
+def _mixed_requests(backend, seed=8):
+    """Requests over prompts of three lengths; with 24 new tokens some rows
+    of ``random_backend`` end at the end-of-sequence token, some at the
+    budget and the 50-token ones at the 64-token window."""
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.integers(1, backend.vocab_size, size=n).tolist(), k)
+        for k, n in enumerate((3, 12, 50, 3, 12, 50, 3, 12, 50, 3))
+    ]
+
+
+class TestPrefetch:
+    """``prefetch`` then ``generate`` against ``generate`` on an empty memo."""
+
+    @pytest.mark.parametrize("temperature", [0.0, 2.0], ids=["greedy", "sampled"])
+    def test_matches_generate_alone(self, random_backend, forward_shapes, temperature):
+        backend = random_backend.with_params(random_backend.params)
+        requests = _mixed_requests(backend)
+        backend.prefetch(requests, 24, temperature)
+        # one prefill per prompt length, each over all of its rows
+        prefills = [shape for shape in forward_shapes if shape[1] > 1]
+        assert prefills == [(4, 3), (3, 12), (3, 50)]
+        n_forwards = len(forward_shapes)
+        lockstep = [backend.generate(p, 24, temperature, seed=s) for p, s in requests]
+        assert len(forward_shapes) == n_forwards
+        twin = random_backend.with_params(random_backend.params)
+        assert lockstep == [twin.generate(p, 24, temperature, seed=s) for p, s in requests]
+
+    @pytest.mark.parametrize("temperature", [0.0, 2.0], ids=["greedy", "sampled"])
+    def test_rows_leave_at_eos_budget_and_window_on_different_steps(self, random_backend, temperature):
+        backend = random_backend.with_params(random_backend.params)
+        requests = _mixed_requests(backend)
+        backend.prefetch(requests, 24, temperature)
+        twin = random_backend.with_params(random_backend.params)
+        ends = {}
+        for prompt, seed in requests:
+            out = backend.generate(prompt, 24, temperature, seed=seed)
+            assert out == twin.generate(prompt, 24, temperature, seed=seed)
+            if len(out) == 24:
+                reason = "budget"
+            elif len(prompt) + len(out) == backend.max_len:
+                reason = "window"
+            else:
+                reason = "eos"
+            ends.setdefault(reason, set()).add(len(out))
+        assert set(ends) == {"eos", "budget", "window"}
+        # and the end-of-sequence rows leave on several steps
+        assert len(ends["eos"]) > 2
+
+    def test_skips_repeats_and_memo_hits(self, random_backend, forward_shapes):
+        backend = random_backend.with_params(random_backend.params)
+        (a, sa), (b, sb), (c, sc) = _mixed_requests(backend)[:3]
+        want_a = backend.generate(a, 24, 2.0, seed=sa)
+        forward_shapes.clear()
+        backend.prefetch([(a, sa), (b, sb), (b, sb), (c, sc), (b, sb)], 24, 2.0)
+        assert [shape for shape in forward_shapes if shape[1] > 1] == [(1, 12), (1, 50)]
+        n_forwards = len(forward_shapes)
+        assert backend.generate(a, 24, 2.0, seed=sa) == want_a
+        backend.generate(b, 24, 2.0, seed=sb)
+        backend.generate(c, 24, 2.0, seed=sc)
+        assert len(forward_shapes) == n_forwards
+
+    def test_invalid_requests_skipped_and_still_raise(self, random_backend, forward_shapes):
+        backend = random_backend.with_params(random_backend.params)
+        good = [1, 2, 3]
+        bad = {
+            "token id out of range": [1, backend.vocab_size],
+            "exceeds max length": [1] * (backend.max_len + 1),
+            "empty prompt": [],
+        }
+        backend.prefetch([(good, 0)] + [(ids, 0) for ids in bad.values()], 8, 2.0)
+        assert [shape for shape in forward_shapes if shape[1] > 1] == [(1, 3)]
+        n_forwards = len(forward_shapes)
+        backend.generate(good, 8, 2.0, seed=0)
+        assert len(forward_shapes) == n_forwards
+        for message, ids in bad.items():
+            with pytest.raises(ValueError, match=message):
+                backend.generate(ids, 8, 2.0, seed=0)
+
+    def test_budget_stop_runs_no_extra_forward(self, counted):
+        backend, calls = counted
+        prompts = [backend.tokenize(text) for text in ("ab", "ba", "bb")]
+        # these continue the pattern for 22 tokens before any end-of-sequence
+        backend.prefetch([(p, None) for p in prompts], 8, 0.0)
+        assert calls == [(3, 2)] + [(3, 1)] * 7
+        assert all(len(backend.generate(p, 8, 0.0)) == 8 for p in prompts)
+        # the one-row miss path of generate is the same loop
+        calls.clear()
+        assert len(backend.generate(prompts[0], 9, 0.0)) == 9
+        assert calls == [(1, 2)] + [(1, 1)] * 8
+
+
 def _cached_chunk_logits(backend, ids, n_prompt, adapter):
     """Last-position logits of a prompt forward, then of one-token forwards,
-    all through one key/value cache."""
-    kv = backend._core.empty_kv()
-    rows = [backend._core.forward(ids[:n_prompt], adapter=adapter, kv=kv)[0][-1]]
+    all through one one-row key/value cache."""
+    kv = backend._core.empty_kv(1)
+    rows = [backend._core.forward([ids[:n_prompt]], adapter=adapter, kv=kv)[0][0, -1]]
     for pos in range(n_prompt, len(ids)):
-        logits, _ = backend._core.forward(ids[pos : pos + 1], adapter=adapter, kv=kv, start=pos)
-        rows.append(logits[-1])
+        logits, _ = backend._core.forward([ids[pos : pos + 1]], adapter=adapter, kv=kv, start=pos)
+        rows.append(logits[0, -1])
     return np.array(rows)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("with_adapter", [False, True])
+def test_stacked_rows_match_single_rows(random_backend, dtype, with_adapter):
+    """A (B, T) forward gives each row the bits of that row's own forward,
+    for a prompt chunk and for a one-token step through the cache."""
+    backend = ReferenceBackend(replace(random_backend.config, dtype=dtype), random_backend.params)
+    core = backend._core
+    adapter = None
+    if with_adapter:
+        mods = backend.adaptable_modules()
+        adapter = init_adapter(spec_for_all_modules(mods, rank=2, alpha=4.0, init_seed=4), mods)
+        rng = np.random.default_rng(5)
+        for _, b in adapter.factors.values():
+            b[:] = rng.normal(0, 0.1, b.shape)
+    rng = np.random.default_rng(8)
+    for rows, n_prompt in ((1, 1), (2, 7), (5, 1), (8, 30), (3, 63)):
+        ids = rng.integers(1, backend.vocab_size, size=(rows, n_prompt + 1))
+        kv = core.empty_kv(rows)
+        prompt_logits = core.forward(ids[:, :-1], adapter=adapter, kv=kv)[0]
+        step_logits = core.forward(ids[:, -1:], adapter=adapter, kv=kv, start=n_prompt)[0]
+        for r in range(rows):
+            np.testing.assert_array_equal(prompt_logits[r], backend.forward_logits(ids[r, :-1].tolist(), adapter))
+            alone = _cached_chunk_logits(backend, ids[r].tolist(), n_prompt, adapter)
+            np.testing.assert_array_equal(step_logits[r, 0], alone[-1])
 
 
 @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-10)])

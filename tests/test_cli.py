@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from quest import cli
 from quest.backend import ReferenceBackend, register_backend
 from quest.backend.reference import _RefCore
 from quest.cli import dump_config, load_config, run_command
@@ -90,7 +92,7 @@ COMMON = [
 
 
 class TestLoadConfig:
-    def test_pure_defaults(self):
+    def test_pure_defaults(self, tmp_path):
         cfg = load_config()
         assert cfg.rank == 16
         assert cfg.alpha == 32.0
@@ -101,7 +103,11 @@ class TestLoadConfig:
         assert cfg.generation.n_pairs == 5
         assert cfg.generation.max_new_tokens == 4096
         assert cfg.answer_max_new_tokens == 4096
-        assert cfg.answer_temperature == 0.0
+        # final answers are always greedy; there is no knob for it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"answer_temperature": 0.0}))
+        with pytest.raises(ValueError, match="unknown key 'answer_temperature'"):
+            load_config(path)
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -285,7 +291,8 @@ class TestCommands:
 
         def counting_forward(self, ids, *args, **kwargs):
             if kwargs.get("kv") is not None and not kwargs.get("start"):
-                prefills.append(tuple(ids))
+                # a lock-step prefill feeds one prompt per row
+                prefills.extend(tuple(row) for row in np.atleast_2d(ids).tolist())
             return forward(self, ids, *args, **kwargs)
 
         monkeypatch.setattr(ReferenceBackend, "generate", counting_generate)
@@ -300,6 +307,59 @@ class TestCommands:
         assert len(requests) == 2 * 3 * 5 * 2  # methods x items x slots x attempts
         decoded = [ids for ids in prefills if ids in {r[0] for r in requests}]
         assert len(decoded) == len(set(requests)) == len(requests) // 2
+
+    def test_compare_runs_largest_budget_first_and_emits_ascending(
+        self, tmp_path, bench_path, monkeypatch, capsys
+    ):
+        requests, sampled = [], []
+        generate, forward = ReferenceBackend.generate, _RefCore.forward
+
+        def counting_generate(self, prompt, max_new_tokens, temperature=0.0, adapter=None, seed=None):
+            if temperature > 0:
+                requests.append((tuple(prompt), seed))
+            return generate(self, prompt, max_new_tokens, temperature, adapter=adapter, seed=seed)
+
+        def counting_forward(self, ids, *args, **kwargs):
+            if kwargs.get("kv") is not None and not kwargs.get("start"):
+                sampled.append(np.shape(ids)[0])
+            return forward(self, ids, *args, **kwargs)
+
+        monkeypatch.setattr(ReferenceBackend, "generate", counting_generate)
+        monkeypatch.setattr(_RefCore, "forward", counting_forward)
+        out = tmp_path / "c"
+        code = run_command(
+            ["compare", "--methods", "sc", "--sc-samples", "1,2,4,8", "--sc-temperature", "0.8",
+             "--benchmark", str(bench_path), "--out", str(out)] + COMMON
+        )
+        assert code == 0
+        records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        assert [r["n_samples"] for r in records] == [1] * 3 + [2] * 3 + [4] * 3 + [8] * 3
+        summaries = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:4]]
+        assert summaries == [f"self_consistency@{n}" for n in (1, 2, 4, 8)]
+        # each item's 8 samples decode once, together; every other request is a memo hit
+        assert len(requests) == 3 * (1 + 2 + 4 + 8)
+        assert sampled == [8, 8, 8]
+        assert len(set(requests)) == 3 * 8
+
+    def test_compare_checks_every_method_before_running(
+        self, tmp_path, hybrid_name, bench_path, monkeypatch, capsys
+    ):
+        evaluated = []
+        run_eval = cli._run_eval
+
+        def counting_run_eval(cfg, session, items, method, sc_samples):
+            evaluated.append(method)
+            return run_eval(cfg, session, items, method, sc_samples)
+
+        monkeypatch.setattr(cli, "_run_eval", counting_run_eval)
+        code = run_command(
+            ["compare", "--methods", "base,sc,bogus", "--backend", hybrid_name,
+             "--benchmark", str(bench_path), "--out", str(tmp_path / "x")] + COMMON
+        )
+        assert code == 1
+        assert "unknown method 'bogus'" in capsys.readouterr().err
+        assert evaluated == []
+        assert not (tmp_path / "x").exists()
 
     def test_compare_rejects_repeated_method(self, tmp_path, hybrid_name, bench_path, capsys):
         code = run_command(

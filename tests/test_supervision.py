@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from quest.backend import ModelSession
+from quest.backend.reference import _RefCore
 from quest.supervision import (
     AuxPair,
     GenConfig,
@@ -163,6 +165,39 @@ class TestGenerateDataset:
         sess = ModelSession(backend=Recorder(), seed=3)
         generate_dataset(sess, Query(id="q", text="x"), GenConfig(n_pairs=1, max_parse_retries=2))
         assert len(seeds_seen) == len(set(seeds_seen)) == 3
+
+    def test_first_attempts_decode_in_lockstep(self, fresh_backend, monkeypatch):
+        # an untrained model samples unparseable text, so every slot retries
+        prefills = []
+        forward = _RefCore.forward
+
+        def counting(self, ids, *args, **kwargs):
+            if kwargs.get("kv") is not None and not kwargs.get("start"):
+                prefills.append(np.shape(ids))
+            return forward(self, ids, *args, **kwargs)
+
+        monkeypatch.setattr(_RefCore, "forward", counting)
+        query = Query(id="q", text="1 + 1 =")
+        cfg = GenConfig(n_pairs=4, max_new_tokens=8, max_parse_retries=1)
+        backend = fresh_backend.with_params(fresh_backend.params)
+        lockstep = generate_dataset(ModelSession(backend=backend, seed=3), query, cfg)
+        n_prompt = len(backend.tokenize(build_generation_prompt(query, 1)))
+        # the four first attempts share one forward; the four retries run alone
+        assert prefills == [(4, n_prompt)] + [(1, n_prompt)] * 4
+        assert lockstep.calls == 8
+
+        class WithoutPrefetch:
+            def __init__(self, backend):
+                self._backend = backend
+
+            def __getattr__(self, name):
+                if name == "prefetch":
+                    raise AttributeError(name)
+                return getattr(self._backend, name)
+
+        fresh = WithoutPrefetch(fresh_backend.with_params(fresh_backend.params))
+        alone = generate_dataset(ModelSession(backend=fresh, seed=3), query, cfg)
+        assert alone == lockstep and alone.generated_tokens > 0
 
 
 class TestTrainingExample:
