@@ -17,6 +17,7 @@ import difflib
 import json
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -33,8 +34,6 @@ from .supervision import (
     generate_dataset,
     load_pairs,
 )
-
-METHOD_ALIASES = {"sc": "self_consistency"}
 
 
 @dataclass(frozen=True)
@@ -71,34 +70,46 @@ class RunConfig:
 _SECTIONS = {"generation": GenConfig, "optimization": OptConfig}
 
 
-def _coerce(value: Any, template: Any) -> Any:
-    if isinstance(template, bool):
-        return bool(value)
-    if isinstance(template, int) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(template, float):
+def _typed(value: Any, hint: Any, key: str) -> Any:
+    """``value`` as a field of type ``hint`` holds it, or an error naming the
+    key. Nothing is coerced but what loses nothing: an integer for a float and
+    a list for a tuple."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:  # Optional[...]
+        return None if value is None else _typed(value, args[0], key)
+    if origin is tuple:
+        if isinstance(value, (list, tuple)):
+            types = args[:1] * len(value) if args[-1] is Ellipsis else args
+            if len(types) == len(value):
+                return tuple(_typed(item, t, key) for item, t in zip(value, types))
+    elif isinstance(value, bool):
+        if hint is bool:
+            return value
+    elif hint is float and isinstance(value, (int, float)):
         return float(value)
-    if isinstance(template, tuple):
-        return tuple(value)
-    return value
+    elif isinstance(value, hint):
+        return value
+    want = hint.__name__ if isinstance(hint, type) else hint
+    raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
 
 
 def _apply_section(defaults, updates: dict, context: str):
-    known = asdict(defaults)
+    hints = typing.get_type_hints(type(defaults))
     for key, value in updates.items():
-        if key not in known:
-            hint = difflib.get_close_matches(key, known, n=1)
-            suffix = f"; did you mean {hint[0]!r}?" if hint else ""
+        if key not in hints:
+            close = difflib.get_close_matches(key, hints, n=1)
+            suffix = f"; did you mean {close[0]!r}?" if close else ""
             raise ValueError(f"unknown key {context}{key!r}{suffix}")
-        defaults = replace(defaults, **{key: _coerce(value, known[key])})
+        defaults = replace(defaults, **{key: _typed(value, hints[key], context + key)})
     return defaults
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
     """Resolve a RunConfig from defaults, an optional JSON file, and overrides.
 
-    Unknown keys fail with a closest-match suggestion. The result round-trips
-    through ``dump_config``.
+    Unknown keys fail with a closest-match suggestion, and a value of the
+    wrong type fails with its key. The result round-trips through
+    ``dump_config``.
     """
     cfg = RunConfig()
     layers = []
@@ -111,19 +122,22 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         flat = {}
         for key, value in layer.items():
             if key in _SECTIONS:
+                if not isinstance(value, dict):
+                    raise ValueError(f"config key {key!r} must be an object, got {value!r}")
                 section = _apply_section(getattr(cfg, key), value, f"{key}.")
                 cfg = replace(cfg, **{key: section})
             else:
                 flat[key] = value
         cfg = _apply_section(cfg, flat, "")
-    if cfg.method in METHOD_ALIASES:
-        cfg = replace(cfg, method=METHOD_ALIASES[cfg.method])
-    if cfg.method not in engine.METHOD_LABELS:
-        raise ValueError(f"unknown method {cfg.method!r}")
+    cfg = replace(cfg, method=engine.method_named(cfg.method))
     if not cfg.sc_samples or min(cfg.sc_samples) < 1:
         raise ValueError("sc_samples must hold one or more positive budgets")
     if len(set(cfg.sc_samples)) != len(cfg.sc_samples):
         raise ValueError(f"sc_samples repeats a budget: {','.join(map(str, cfg.sc_samples))}")
+    if cfg.sc_temperature <= 0:
+        raise ValueError(f"sc_temperature must be > 0, got {cfg.sc_temperature}")
+    if cfg.answer_max_new_tokens < 1:
+        raise ValueError(f"answer_max_new_tokens must be >= 1, got {cfg.answer_max_new_tokens}")
     run_dir = os.environ.get("QUEST_RUN_DIR")
     if run_dir:
         cfg = replace(cfg, out_dir=run_dir)
@@ -184,11 +198,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _make_sessions(cfg: RunConfig):
-    session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
-    return session
-
-
 def _load_items(cfg: RunConfig, item_id: Optional[str] = None):
     if not cfg.benchmark:
         raise ValueError("a --benchmark file is required")
@@ -209,7 +218,7 @@ def _echo_config(cfg: RunConfig) -> Path:
 
 def _cmd_generate(args) -> int:
     cfg = _config_from_args(args)
-    session = _make_sessions(cfg)
+    session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
     items = _load_items(cfg, args.item_id)
     out = _echo_config(cfg)
     for item in items:
@@ -225,7 +234,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_adapt(args) -> int:
     cfg = _config_from_args(args)
-    session = _make_sessions(cfg)
+    session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
     items = _load_items(cfg, args.item_id)
     out = _echo_config(cfg)
     for item in items:
@@ -257,7 +266,7 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_answer(args) -> int:
     cfg = _config_from_args(args)
-    session = _make_sessions(cfg)
+    session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
     items = _load_items(cfg, args.item_id)
     out = _echo_config(cfg)
     for item in items:
@@ -267,51 +276,40 @@ def _cmd_answer(args) -> int:
         qdir = engine.query_artifact_dir(out, item.id)
         adapter_path = Path(args.adapter) if args.adapter else qdir / "adapter.qsta"
         adapter = load_adapter(adapter_path) if adapter_path.exists() else None
-        text = engine.answer_with_adapter(isess, query, adapter, cfg.answer_max_new_tokens)
+        text, _ = engine.generate_answer(isess, query, adapter, cfg.answer_max_new_tokens)
         (qdir / "answer.txt").write_text(text, encoding="utf-8")
         print(f"{item.id}: {text}")
     return 0
 
 
-def _run_eval(cfg: RunConfig, session, items, method: str, sc_samples: int):
-    """One ``evaluate`` sweep; ``sc_samples`` is the self-consistency budget
-    and is unused by the other methods."""
+def _run_eval(cfg: RunConfig, session, items, method: str, sc_samples: Optional[int]):
+    """One ``evaluate`` sweep; ``sc_samples`` is the budget of a sampled
+    method and is unused by the others."""
     spec = cfg.adapter_spec(session.backend.adaptable_modules())
     return evaluate(
-        session,
-        items,
-        method,
-        gen_cfg=cfg.generation,
-        adapter_spec=spec,
-        opt_cfg=cfg.optimization,
-        sc_samples=sc_samples,
-        sc_temperature=cfg.sc_temperature,
-        max_new_tokens=cfg.answer_max_new_tokens,
-        seed=cfg.seed,
-        system_prompt=cfg.system_prompt,
+        session, items, method,
+        gen_cfg=cfg.generation, adapter_spec=spec, opt_cfg=cfg.optimization,
+        sc_samples=sc_samples, sc_temperature=cfg.sc_temperature,
+        max_new_tokens=cfg.answer_max_new_tokens, seed=cfg.seed, system_prompt=cfg.system_prompt,
     )
 
 
 def _cmd_eval(args) -> int:
     cfg = _config_from_args(args)
-    if cfg.method != "self_consistency":
-        conflicting = [
-            flag
-            for flag, value in (("--sc-samples", args.sc_samples), ("--sc-temperature", args.sc_temperature))
-            if value is not None
-        ]
-        if conflicting:
-            raise ValueError(
-                f"conflicting method-specific keys for method {cfg.method!r}: "
-                + ", ".join(conflicting)
-            )
-    elif len(cfg.sc_samples) != 1:
+    sampled = engine.METHODS[cfg.method].sampled
+    flags = (("--sc-samples", args.sc_samples), ("--sc-temperature", args.sc_temperature))
+    conflicting = [flag for flag, value in flags if value is not None and not sampled]
+    if conflicting:
+        raise ValueError(
+            f"conflicting method-specific keys for method {cfg.method!r}: " + ", ".join(conflicting)
+        )
+    if sampled and len(cfg.sc_samples) != 1:
         raise ValueError(
             "eval samples one self-consistency budget, got sc_samples "
             + ",".join(map(str, cfg.sc_samples))
             + "; pass --sc-samples N, or run compare for a sweep"
         )
-    session = _make_sessions(cfg)
+    session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
     items = _load_items(cfg)
     out = _echo_config(cfg)
     records, summary = _run_eval(cfg, session, items, cfg.method, cfg.sc_samples[0])
@@ -326,35 +324,28 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _config_from_args(args)
-    methods = [m.strip() for m in (args.methods or "base,quest,self_consistency").split(",")]
-    methods = [METHOD_ALIASES.get(m, m) for m in methods]
+    names = (args.methods or "base,quest,self_consistency").split(",")
+    methods = [engine.method_named(name.strip()) for name in names]
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
         raise ValueError(f"--methods names {', '.join(repeated)} more than once")
-    unknown = [m for m in methods if m not in engine.METHOD_LABELS]
-    if unknown:
-        raise ValueError(
-            f"unknown method {', '.join(map(repr, unknown))}; expected one of {engine.METHOD_LABELS}"
-        )
-    session = _make_sessions(cfg)
+    session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
     items = _load_items(cfg)
     out = _echo_config(cfg)
+    runs = [
+        (method, n)
+        for method in methods
+        for n in (cfg.sc_samples if engine.METHODS[method].sampled else (None,))
+    ]
+    # largest budget first: its samples decode in lock-step and the smaller
+    # budgets, which draw a prefix of them, read the memo
+    order = sorted(runs, key=lambda run: (methods.index(run[0]), -(run[1] or 0)))
+    results = {run: _run_eval(cfg, session, items, *run) for run in order}
     all_records = []
-    for method in methods:
-        if method == "self_consistency":
-            # largest budget first: its samples decode in lock-step and the
-            # smaller budgets, which draw a prefix of them, read the memo
-            sweep = {}
-            for n in sorted(cfg.sc_samples, reverse=True):
-                sweep[n] = _run_eval(cfg, session, items, method, n)
-            for n in cfg.sc_samples:
-                records, summary = sweep[n]
-                all_records.extend(records)
-                print(f"self_consistency@{n}: accuracy {summary['accuracy']:.4f}")
-        else:
-            records, summary = _run_eval(cfg, session, items, method, cfg.sc_samples[0])
-            all_records.extend(records)
-            print(f"{method}: accuracy {summary['accuracy']:.4f}")
+    for run in runs:
+        records, summary = results[run]
+        all_records.extend(records)
+        print(f"{summary['method']}: accuracy {summary['accuracy']:.4f}")
     paths = emit_report(all_records, out, benchmark=Path(cfg.benchmark).stem)
     print(f"reports -> {paths['results']}, {paths['curve']}")
     return 0
@@ -363,7 +354,7 @@ def _cmd_compare(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    return run_selftest(verbose=True)
+    return run_selftest()
 
 
 def run_command(argv: Sequence[str]) -> int:

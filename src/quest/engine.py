@@ -6,10 +6,9 @@ low-rank adapter factors while the base stays frozen, answer with greedy
 decoding, then discard the adapter (per-query reset). quest trains on
 generated pairs, TLM on the query's NLL, TENT on the query's entropy. "T steps"
 counts optimizer updates; each update accumulates gradients over
-``grad_accumulation`` examples visited by cycling them in order (a seeded
-shuffle sits behind a flag). Token telemetry is exact: generated tokens cover
-every sampling call including parse retries, trained tokens count every
-example visit.
+``grad_accumulation`` examples visited by cycling them in order. Token
+telemetry is exact: generated tokens cover every sampling call including parse
+retries, trained tokens count every example visit.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -41,16 +40,6 @@ from .supervision import (
 
 log = logging.getLogger(__name__)
 
-METHOD_LABELS = (
-    "base",
-    "quest",
-    "tent",
-    "tlm",
-    "self_consistency",
-    "quest_no_query",
-    "quest_no_lora",
-)
-
 ANSWER_MAX_NEW_TOKENS = 4096
 
 
@@ -63,7 +52,6 @@ class OptConfig:
     grad_accumulation: int = 4
     max_seq_len: int = 4096
     seed: int = 0
-    shuffle: bool = False
 
     def __post_init__(self):
         if self.steps < 0:
@@ -82,19 +70,6 @@ class AdaptTelemetry:
     wall_seconds: float = 0.0
     pairs_used: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "loss_trajectory": self.loss_trajectory,
-            "generated_tokens": self.generated_tokens,
-            "trained_tokens": self.trained_tokens,
-            "wall_seconds": self.wall_seconds,
-            "pairs_used": self.pairs_used,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "AdaptTelemetry":
-        return cls(**obj)
-
 
 @dataclass
 class MethodResult:
@@ -104,7 +79,7 @@ class MethodResult:
     method_label: str
 
     def __post_init__(self):
-        if self.method_label not in METHOD_LABELS:
+        if self.method_label not in METHODS:
             raise ValueError(f"unknown method label {self.method_label!r}")
 
 
@@ -163,16 +138,6 @@ def sft_update(
     return total * scale
 
 
-def _visit_order(n_examples: int, total_visits: int, seed: int, shuffle: bool) -> list[int]:
-    if not shuffle:
-        return [i % n_examples for i in range(total_visits)]
-    rng = np.random.default_rng(derive_seed(seed, "visit-order"))
-    order: list[int] = []
-    while len(order) < total_visits:
-        order.extend(rng.permutation(n_examples).tolist())
-    return order[:total_visits]
-
-
 def _train(
     session: ModelSession,
     examples: Sequence[tuple[list[int], list[int]]],
@@ -192,15 +157,14 @@ def _train(
         weight_decay=cfg.weight_decay,
     )
     dropout_rng = np.random.default_rng(derive_seed(cfg.seed, "dropout"))
-    order = _visit_order(len(examples), cfg.steps * cfg.grad_accumulation, cfg.seed, cfg.shuffle)
 
     telemetry = AdaptTelemetry()
     attach(session, adapter)
     try:
         for step in range(cfg.steps):
+            first = step * cfg.grad_accumulation
             batch = [
-                examples[order[step * cfg.grad_accumulation + j]]
-                for j in range(cfg.grad_accumulation)
+                examples[(first + j) % len(examples)] for j in range(cfg.grad_accumulation)
             ]
             value = sft_update(session, batch, optimizer, dropout_rng=dropout_rng, loss=loss)
             telemetry.loss_trajectory.append(value)
@@ -236,7 +200,7 @@ def adapt(
     return adapter, telemetry
 
 
-def _generate_answer(
+def generate_answer(
     session: ModelSession,
     query: Query,
     adapter: Optional[AdapterState],
@@ -254,21 +218,12 @@ def _generate_answer(
     return session.backend.detokenize(out), len(out)
 
 
-def answer_with_adapter(
-    session: ModelSession,
-    query: Query,
-    adapter: Optional[AdapterState],
-    max_new_tokens: int,
-) -> str:
-    return _generate_answer(session, query, adapter, max_new_tokens)[0]
-
-
 def base_answer(
     session: ModelSession, query: Query, max_new_tokens: int = ANSWER_MAX_NEW_TOKENS
 ) -> MethodResult:
     """Unadapted greedy answer; the floor every method is measured against."""
     t0 = time.perf_counter()
-    text, n_tokens = _generate_answer(session, query, None, max_new_tokens)
+    text, n_tokens = generate_answer(session, query, None, max_new_tokens)
     telemetry = AdaptTelemetry(generated_tokens=n_tokens, wall_seconds=time.perf_counter() - t0)
     return MethodResult(text, extract_boxed(text), telemetry, "base")
 
@@ -293,13 +248,13 @@ def _quest_pipeline(
 
     if not gen.pairs:
         # uninformative supervision: fall back to the unadapted base answer
-        text, n_answer = _generate_answer(session, query, None, max_new_tokens)
+        text, n_answer = generate_answer(session, query, None, max_new_tokens)
         telemetry = AdaptTelemetry(generated_tokens=gen.generated_tokens + n_answer)
     else:
         adapter, telemetry = adapt(
             session, gen.pairs, spec, opt_cfg, system_prompt=query.system_prompt
         )
-        text, n_answer = _generate_answer(session, query, adapter, max_new_tokens)
+        text, n_answer = generate_answer(session, query, adapter, max_new_tokens)
         telemetry.generated_tokens = gen.generated_tokens + n_answer
     telemetry.wall_seconds = time.perf_counter() - t0
     return MethodResult(text, extract_boxed(text), telemetry, label)
@@ -391,7 +346,7 @@ def _objective_pipeline(
     tokens = session.backend.tokenize(query.text)[: session.backend.max_len]
     example = (tokens, [0] + [1] * (len(tokens) - 1))
     adapter, telemetry = _train(session, [example], spec, opt_cfg, loss=loss)
-    text, n_answer = _generate_answer(session, query, adapter, max_new_tokens)
+    text, n_answer = generate_answer(session, query, adapter, max_new_tokens)
     telemetry.generated_tokens += n_answer
     telemetry.wall_seconds = time.perf_counter() - t0
     return MethodResult(text, extract_boxed(text), telemetry, label)
@@ -432,10 +387,7 @@ def self_consistency(
     extract: Callable[[str], Optional[str]] = extract_boxed,
 ) -> MethodResult:
     """Sample n completions and majority-vote their extracted answers."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    if temperature <= 0:
-        raise ValueError("self-consistency requires temperature > 0")
+    check_sampling(n_samples, temperature)
     t0 = time.perf_counter()
     prompt_ids = _answer_prompt_ids(session, query)
     seeds = [derive_seed(session.seed, "sc", k) for k in range(n_samples)]
@@ -469,6 +421,76 @@ def self_consistency(
     return MethodResult(raw, winner, telemetry, "self_consistency")
 
 
+def check_sampling(n_samples: int, temperature: float) -> None:
+    """Reject a self-consistency budget or temperature that cannot sample."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    if temperature <= 0:
+        raise ValueError("self-consistency requires temperature > 0")
+
+
+# -- the method table -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Method:
+    """A row of ``METHODS``: ``run(session, query, **settings)`` answers one
+    query; ``sampled`` methods take a sampling budget, ``n_samples``."""
+
+    run: Callable[..., MethodResult]
+    sampled: bool = False
+    alias: Optional[str] = None
+
+
+# Each runner takes what it needs of the settings ``evalkit.evaluate`` passes
+# and calls its public function through this module's globals at call time,
+# so a patched ``engine.quest`` is the one that runs.
+METHODS = {
+    "base": Method(lambda s, q, *, max_new_tokens, **_: base_answer(s, q, max_new_tokens)),
+    "quest": Method(
+        lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, **_:
+        quest(s, q, gen_cfg, spec, opt_cfg,
+              generator_session=generator_session, max_new_tokens=max_new_tokens)
+    ),
+    "tent": Method(
+        lambda s, q, *, spec, opt_cfg, max_new_tokens, **_:
+        tent(s, q, spec, opt_cfg, max_new_tokens=max_new_tokens)
+    ),
+    "tlm": Method(
+        lambda s, q, *, spec, opt_cfg, max_new_tokens, **_:
+        tlm(s, q, spec, opt_cfg, max_new_tokens=max_new_tokens)
+    ),
+    "self_consistency": Method(
+        lambda s, q, *, n_samples, temperature, max_new_tokens, extract, **_:
+        self_consistency(s, q, n_samples, temperature,
+                         max_new_tokens=max_new_tokens, extract=extract),
+        sampled=True,
+        alias="sc",
+    ),
+    "quest_no_query": Method(
+        lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, **_:
+        quest_no_query(s, q, gen_cfg, spec, opt_cfg,
+                       generator_session=generator_session, max_new_tokens=max_new_tokens)
+    ),
+    "quest_no_lora": Method(
+        lambda s, q, *, gen_cfg, generator_session, max_new_tokens, **_:
+        quest_no_lora(s, q, gen_cfg,
+                      generator_session=generator_session, max_new_tokens=max_new_tokens)
+    ),
+}
+
+
+def method_named(name: str) -> str:
+    """The table's name for ``name`` or its alias; the one unknown-method error."""
+    for label, method in METHODS.items():
+        if name in (label, method.alias):
+            return label
+    known = ", ".join(
+        f"{label} ({method.alias})" if method.alias else label for label, method in METHODS.items()
+    )
+    raise ValueError(f"unknown method {name!r}; expected one of {known}")
+
+
 # -- per-query artifacts and seed derivation ------------------------------------
 
 
@@ -490,10 +512,10 @@ def query_artifact_dir(run_dir: Union[str, Path], query_id: str) -> Path:
 
 def save_telemetry(telemetry: AdaptTelemetry, path: Union[str, Path]) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(telemetry.to_dict(), f, indent=2, sort_keys=True)
+        json.dump(asdict(telemetry), f, indent=2, sort_keys=True)
         f.write("\n")
 
 
 def load_telemetry(path: Union[str, Path]) -> AdaptTelemetry:
     with open(path, encoding="utf-8") as f:
-        return AdaptTelemetry.from_dict(json.load(f))
+        return AdaptTelemetry(**json.load(f))

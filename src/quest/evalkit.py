@@ -13,7 +13,7 @@ import json
 import re
 import string
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -285,22 +285,6 @@ class EvalRecord:
     def total_tokens(self) -> int:
         return self.generated_tokens + self.trained_tokens
 
-    def to_dict(self) -> dict:
-        return {
-            "item_id": self.item_id,
-            "method": self.method,
-            "raw_output": self.raw_output,
-            "extracted": self.extracted,
-            "correct": self.correct,
-            "generated_tokens": self.generated_tokens,
-            "trained_tokens": self.trained_tokens,
-            "wall_seconds": self.wall_seconds,
-            "loss_trajectory": self.loss_trajectory,
-            "gold": self.gold,
-            "n_samples": self.n_samples,
-            "error": self.error,
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "EvalRecord":
         return cls(**obj)
@@ -327,11 +311,13 @@ def evaluate(
     system_prompt: Optional[str] = None,
     generator_session=None,
 ) -> tuple[list[EvalRecord], dict]:
-    """Run one method over a benchmark with a fresh adapter per item.
+    """Run one method (a name or alias of ``engine.METHODS``) over a benchmark
+    with a fresh adapter per item.
 
-    Per-item errors are recorded as incorrect (with the error text) and never
-    abort the sweep. Fully deterministic for a fixed seed on the reference
-    backend.
+    A self-consistency budget or temperature that cannot sample fails before
+    any item runs. Per-item errors are recorded as incorrect (with the error
+    text) and never abort the sweep. Fully deterministic for a fixed seed on
+    the reference backend.
     """
     from . import engine
     from .adapters import spec_for_all_modules
@@ -339,8 +325,11 @@ def evaluate(
 
     if not items:
         raise ValueError("no benchmark items to evaluate")
-    if method not in engine.METHOD_LABELS:
-        raise ValueError(f"unknown method {method!r}; expected one of {engine.METHOD_LABELS}")
+    method = engine.method_named(method)
+    runner = engine.METHODS[method]
+    if runner.sampled:
+        engine.check_sampling(sc_samples, sc_temperature)
+    n_samples = sc_samples if runner.sampled else None
     gen_cfg = gen_cfg if gen_cfg is not None else GenConfig()
     opt_cfg = opt_cfg if opt_cfg is not None else engine.OptConfig()
     if adapter_spec is None:
@@ -351,48 +340,28 @@ def evaluate(
     def run_item(item: BenchmarkItem) -> EvalRecord:
         seeds = engine.derive_item_seeds(seed, item.id)
         isess = session.clone(seed=seeds["session"])
-        gsess = (
-            generator_session.clone(seed=seeds["session"])
-            if generator_session is not None
-            else None
-        )
-        spec_i = replace(adapter_spec, init_seed=seeds["adapter"])
-        opt_i = replace(opt_cfg, seed=seeds["opt"])
-        query = item_to_query(item, system_prompt)
-        n_samples = sc_samples if method == "self_consistency" else None
         t0 = time.perf_counter()
         try:
-            if method == "base":
-                result = engine.base_answer(isess, query, max_new_tokens=max_new_tokens)
-            elif method == "quest":
-                result = engine.quest(
-                    isess, query, gen_cfg, spec_i, opt_i,
-                    generator_session=gsess, max_new_tokens=max_new_tokens,
-                )
-            elif method == "quest_no_query":
-                result = engine.quest_no_query(
-                    isess, query, gen_cfg, spec_i, opt_i,
-                    generator_session=gsess, max_new_tokens=max_new_tokens,
-                )
-            elif method == "quest_no_lora":
-                result = engine.quest_no_lora(
-                    isess, query, gen_cfg,
-                    generator_session=gsess, max_new_tokens=max_new_tokens,
-                )
-            elif method == "tent":
-                result = engine.tent(isess, query, spec_i, opt_i, max_new_tokens=max_new_tokens)
-            elif method == "tlm":
-                result = engine.tlm(isess, query, spec_i, opt_i, max_new_tokens=max_new_tokens)
-            else:
-                extract = (
+            result = runner.run(
+                isess,
+                item_to_query(item, system_prompt),
+                gen_cfg=gen_cfg,
+                spec=replace(adapter_spec, init_seed=seeds["adapter"]),
+                opt_cfg=replace(opt_cfg, seed=seeds["opt"]),
+                generator_session=(
+                    generator_session.clone(seed=seeds["session"])
+                    if generator_session is not None
+                    else None
+                ),
+                max_new_tokens=max_new_tokens,
+                n_samples=sc_samples,
+                temperature=sc_temperature,
+                extract=(
                     (lambda text: extract_choice(text, len(item.choices)))
                     if item.mode == "choice-letter"
                     else extract_boxed
-                )
-                result = engine.self_consistency(
-                    isess, query, sc_samples, sc_temperature,
-                    max_new_tokens=max_new_tokens, extract=extract,
-                )
+                ),
+            )
         except Exception as exc:  # recorded, never fatal for the sweep
             return EvalRecord(
                 item_id=item.id, method=method, raw_output="", extracted=None,
@@ -451,7 +420,7 @@ def emit_report(
 
     with open(paths["records"], "w", encoding="utf-8") as f:
         for record in records:
-            f.write(json.dumps(record.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+            f.write(json.dumps(asdict(record), ensure_ascii=False, sort_keys=True) + "\n")
 
     by_key: dict[str, list[EvalRecord]] = {}
     for record in records:

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from quest.adapters import init_adapter, spec_for_all_modules
-from quest.backend import ModelSession, RefConfig, ReferenceBackend
-from quest.backend.reference import init_params
-from quest.cli import RunConfig, load_config, run_command
-from quest.engine import OptConfig, adapt, quest, tent, tlm
+from quest.backend import ModelSession
+from quest.cli import load_config, run_command
+from quest.engine import OptConfig, adapt, quest
 from quest.evalkit import (
     BenchmarkItem,
     answers_equivalent,
@@ -23,7 +22,16 @@ from quest.evalkit import (
     extract_boxed,
     majority_vote,
 )
-from quest.selftest import _check_prefetch_matches_generate
+from quest.selftest import (
+    check_config_defaults,
+    check_frozen_base,
+    check_gradient_fidelity,
+    check_identity_at_init,
+    check_merge_equivalence,
+    check_prefetch_matches_generate,
+    check_scorer,
+    random_backend,
+)
 from quest.supervision import AuxPair, GenConfig, Query
 
 from conftest import PATTERN_SYMS, StubBackend
@@ -39,83 +47,26 @@ def synthetic_pairs():
     ]
 
 
-def test_criterion_1_lora_identity(fresh_backend):
+def test_criterion_1_lora_identity():
     """Fresh adapter leaves logits bitwise unchanged on 100 random inputs."""
-    mods = fresh_backend.adaptable_modules()
-    adapter = init_adapter(spec_for_all_modules(mods, init_seed=1), mods)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        ids = rng.integers(1, fresh_backend.vocab_size, size=rng.integers(1, 48)).tolist()
-        assert np.array_equal(
-            fresh_backend.forward_logits(ids),
-            fresh_backend.forward_logits(ids, adapter=adapter),
-        )
+    check_identity_at_init(random_backend(), n_inputs=100, max_tokens=47)
     print("PASS criterion-1 lora-identity (100/100 bitwise)")
 
 
 def test_criterion_2_gradient_fidelity():
     """Adapter gradients match central finite differences, rel err < 1e-3 on
     >= 200 random coordinates of a 2-layer reference model."""
-    cfg = RefConfig(n_layer=2, d_model=32, n_head=4, max_len=64, dtype="float64")
-    rng = np.random.default_rng(1)
-    params = init_params(cfg, seed=2)
-    for key, value in params.items():
-        params[key] = rng.normal(0, 0.2, value.shape)
-    backend = ReferenceBackend(cfg, params)
-    mods = backend.adaptable_modules()
-    adapter = init_adapter(spec_for_all_modules(mods, rank=4, dropout=0.0, init_seed=3), mods)
-    for a, b in adapter.factors.values():
-        a[:] = rng.normal(0, 0.3, a.shape)
-        b[:] = rng.normal(0, 0.3, b.shape)
-    ids = rng.integers(1, backend.vocab_size, size=24).tolist()
-    mask = [0] + [1] * (len(ids) - 1)
-    _, grads = backend.masked_nll_with_grads(ids, mask, adapter)
-
-    h = 1e-6
-    checked = 0
-    worst = 0.0
-    for name, (a, b) in adapter.factors.items():
-        for arr, grad in ((a, grads[name][0]), (b, grads[name][1])):
-            for _ in range(13):
-                i = int(rng.integers(arr.shape[0]))
-                j = int(rng.integers(arr.shape[1]))
-                keep = arr[i, j]
-                arr[i, j] = keep + h
-                hi = backend.masked_nll(ids, mask, adapter=adapter)
-                arr[i, j] = keep - h
-                lo = backend.masked_nll(ids, mask, adapter=adapter)
-                arr[i, j] = keep
-                fd = (hi - lo) / (2 * h)
-                rel = abs(fd - grad[i, j]) / max(abs(fd), 1e-6)
-                worst = max(worst, rel)
-                checked += 1
-                assert rel < 1e-3, f"{name}[{i},{j}]: rel err {rel:.2e}"
-    assert checked >= 200
-    print(f"PASS criterion-2 gradient-fidelity ({checked} coords, worst rel {worst:.1e})")
+    backend = random_backend("float64")
+    assert len(backend.adaptable_modules()) == 8
+    # 13 coordinates from each of the 16 factors
+    worst = check_gradient_fidelity(backend, n_coords=208, n_tokens=24)
+    print(f"PASS criterion-2 gradient-fidelity (208 coords, worst rel {worst:.1e})")
 
 
-def test_criterion_3_merge_equivalence(fresh_backend):
+def test_criterion_3_merge_equivalence():
     """Merged vs attached logits within 1e-5 absolute on 20 random inputs;
     merge -> unmerge recovers base within 1e-5."""
-    from quest.adapters import merge, unmerge
-
-    mods = fresh_backend.adaptable_modules()
-    adapter = init_adapter(spec_for_all_modules(mods, rank=4, init_seed=5), mods)
-    rng = np.random.default_rng(2)
-    for a, b in adapter.factors.values():
-        a[:] = rng.normal(0, 0.2, a.shape).astype(a.dtype)
-        b[:] = rng.normal(0, 0.2, b.shape).astype(b.dtype)
-    snapshot = merge(ModelSession(backend=fresh_backend), adapter)
-    merged = fresh_backend.with_params(snapshot.params)
-    for _ in range(20):
-        ids = rng.integers(1, fresh_backend.vocab_size, size=16).tolist()
-        diff = np.abs(
-            fresh_backend.forward_logits(ids, adapter=adapter) - merged.forward_logits(ids)
-        ).max()
-        assert diff < 1e-5, f"merged/attached diff {diff}"
-    restored = unmerge(snapshot)
-    for name, arr in fresh_backend.params.items():
-        assert np.abs(restored[name] - arr).max() < 1e-5
+    check_merge_equivalence(random_backend(), n_inputs=20, n_tokens=16)
     print("PASS criterion-3 merge-equivalence (20 inputs < 1e-5, round trip < 1e-5)")
 
 
@@ -123,18 +74,17 @@ def test_criterion_4_frozen_base_isolation(pattern_world):
     """Base checksum constant across quest+tent+tlm; adapter moves iff
     lr > 0 and T > 0."""
     backend = pattern_world["backend"]
-    stub_sess = ModelSession(backend=pattern_world["stub"], seed=3)
     session = ModelSession(backend=backend, seed=3)
     before = backend.checksum()
-    query = Query(id="qc4", text="Q: d ->\nA:", system_prompt="")
-    spec = spec_for_all_modules(backend.adaptable_modules(), rank=4, init_seed=2)
-    gen = GenConfig(n_pairs=3, max_new_tokens=64, temperature=0.8)
-    opt = OptConfig(steps=5, lr=1e-3, grad_accumulation=2)
-    quest(session, query, gen, spec, opt, generator_session=stub_sess, max_new_tokens=8)
-    tent(session, query, spec, opt, max_new_tokens=8)
-    tlm(session, query, spec, opt, max_new_tokens=8)
-    assert backend.checksum() == before, "base parameters drifted"
+    check_frozen_base(
+        session,
+        Query(id="qc4", text="Q: d ->\nA:", system_prompt=""),
+        n_pairs=3,
+        steps=5,
+        generator_session=ModelSession(backend=pattern_world["stub"], seed=3),
+    )
 
+    spec = spec_for_all_modules(backend.adaptable_modules(), rank=4, init_seed=2)
     fresh = init_adapter(spec, backend.adaptable_modules())
     pairs = synthetic_pairs()
 
@@ -249,6 +199,7 @@ def test_criterion_7_per_query_reset(pattern_world):
 def test_criterion_8_scoring_oracle():
     """50/50 on the hand-verified fixture; majority vote matches a brute-force
     grouping oracle on 1000 random inputs."""
+    check_scorer()
     cases = [
         json.loads(line)
         for line in (DATA / "equivalence_fixture.jsonl").read_text().splitlines()
@@ -330,23 +281,14 @@ def test_criterion_9_token_accounting(tmp_path):
 def test_lockstep_decoding_matches_generate():
     """Requests decoded together by ``prefetch`` read back through ``generate``
     as the tokens ``generate`` alone decodes; the same check runs in selftest."""
-    _check_prefetch_matches_generate()
+    check_prefetch_matches_generate()
     print("PASS lockstep-decoding (prefetch then generate == generate alone)")
 
 
 def test_criterion_10_config_fidelity(tmp_path, capsys):
     """selftest (exit 0) asserts the default run config reproduces the
     reference hyperparameters exactly."""
-    cfg = RunConfig()
-    assert cfg.rank == 16
-    assert cfg.alpha == 32.0
-    assert cfg.dropout == 0.05
-    assert cfg.optimization.lr == 1e-4
-    assert cfg.optimization.steps == 10
-    assert cfg.optimization.grad_accumulation == 4
-    assert cfg.generation.n_pairs == 5
-    assert cfg.generation.max_new_tokens == 4096
-    assert cfg.answer_max_new_tokens == 4096
+    check_config_defaults()
     # final answers are always greedy; a config that sets their temperature is rejected
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"answer_temperature": 0.0}))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,12 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quest import cli
-from quest.backend import ReferenceBackend, register_backend
+from quest import cli, engine
+from quest.backend import ModelSession, ReferenceBackend, register_backend
 from quest.backend.reference import _RefCore
-from quest.cli import dump_config, load_config, run_command
+from quest.cli import RunConfig, dump_config, load_config, run_command
+from quest.engine import OptConfig
+from quest.evalkit import BenchmarkItem, evaluate
+from quest.selftest import check_config_defaults
 
-from conftest import PatternStub
+from conftest import PatternStub, StubBackend
 
 
 class HybridPatternBackend:
@@ -92,17 +96,10 @@ COMMON = [
 
 
 class TestLoadConfig:
-    def test_pure_defaults(self, tmp_path):
-        cfg = load_config()
-        assert cfg.rank == 16
-        assert cfg.alpha == 32.0
-        assert cfg.dropout == 0.05
-        assert cfg.optimization.lr == 1e-4
-        assert cfg.optimization.steps == 10
-        assert cfg.optimization.grad_accumulation == 4
-        assert cfg.generation.n_pairs == 5
-        assert cfg.generation.max_new_tokens == 4096
-        assert cfg.answer_max_new_tokens == 4096
+    def test_pure_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("QUEST_RUN_DIR", raising=False)
+        check_config_defaults()
+        assert load_config() == RunConfig()
         # final answers are always greedy; there is no knob for it
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"answer_temperature": 0.0}))
@@ -141,6 +138,39 @@ class TestLoadConfig:
 
     def test_method_alias(self):
         assert load_config(None, {"method": "sc"}).method == "self_consistency"
+
+    @pytest.mark.parametrize(
+        "layer, message",
+        [
+            ({"rank": 2.7}, "config key 'rank' must be int, got 2.7"),
+            ({"optimization": {"steps": 10.9}}, "config key 'optimization.steps' must be int"),
+            ({"seed": "3"}, "config key 'seed' must be int, got '3'"),
+            ({"generation": {"n_pairs": True}}, "config key 'generation.n_pairs' must be int"),
+            ({"target_modules": "layers.0.attn.q"}, "config key 'target_modules' must be"),
+            ({"optimization": {"betas": [0.9]}}, "config key 'optimization.betas' must be"),
+            ({"sc_samples": [1.5]}, "config key 'sc_samples' must be"),
+            ({"optimization": 5}, "config key 'optimization' must be an object"),
+            ({"sc_temperature": 0}, "sc_temperature must be > 0, got 0.0"),
+            ({"sc_temperature": -1.0}, "sc_temperature must be > 0, got -1.0"),
+            ({"answer_max_new_tokens": 0}, "answer_max_new_tokens must be >= 1, got 0"),
+            ({"optimization": {"shuffle": True}}, "unknown key optimization.'shuffle'"),
+        ],
+        ids=[
+            "rank-float", "steps-float", "seed-str", "n_pairs-bool", "target_modules-str",
+            "betas-one", "sc_samples-float", "section-int", "sc_temperature-0",
+            "sc_temperature-negative", "answer_max_new-0", "shuffle-removed",
+        ],
+    )
+    def test_bad_value_rejected(self, tmp_path, layer, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(layer))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(path)
+
+    def test_lossless_values_accepted(self):
+        cfg = load_config(None, {"alpha": 8, "optimization": {"betas": [0.5, 1]}})
+        assert cfg.alpha == 8.0 and isinstance(cfg.alpha, float)
+        assert cfg.optimization.betas == (0.5, 1.0)
 
     @pytest.mark.parametrize("budgets", [[], [0, 2]])
     def test_sc_budgets_must_be_positive(self, budgets):
@@ -360,6 +390,76 @@ class TestCommands:
         assert "unknown method 'bogus'" in capsys.readouterr().err
         assert evaluated == []
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--method", "sc", "--sc-samples", "2", "--sc-temperature", "0"],
+             "sc_temperature must be > 0, got 0.0"),
+            (["compare", "--methods", "base,sc", "--sc-temperature", "-1"],
+             "sc_temperature must be > 0, got -1.0"),
+            (["eval", "--method", "base", "--answer-max-new", "0"],
+             "answer_max_new_tokens must be >= 1, got 0"),
+        ],
+        ids=["eval-sc-temperature-0", "compare-sc-temperature-negative", "answer-max-new-0"],
+    )
+    def test_unusable_settings_fail_before_any_item(
+        self, tmp_path, hybrid_name, bench_path, capsys, argv, message
+    ):
+        code = run_command(
+            argv + ["--backend", hybrid_name, "--benchmark", str(bench_path),
+                    "--out", str(tmp_path / "x")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_unknown_method_is_one_error_everywhere(
+        self, tmp_path, hybrid_name, bench_path, capsys
+    ):
+        with pytest.raises(ValueError) as caught:
+            load_config(None, {"method": "magic"})
+        message = str(caught.value)
+        assert message.startswith("unknown method 'magic'; expected one of base, quest,")
+        session = ModelSession(backend=StubBackend(lambda prompt, call: ""), seed=0)
+        with pytest.raises(ValueError) as caught:
+            evaluate(session, [BenchmarkItem(id="i", problem="p", answer="1")], "magic")
+        assert str(caught.value) == message
+        args = ["--backend", hybrid_name, "--benchmark", str(bench_path), "--out", str(tmp_path)]
+        for argv in (["eval", "--method", "magic"], ["compare", "--methods", "base,magic"]):
+            assert run_command(argv + args) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_dispatch_calls_the_patched_functions(
+        self, tmp_path, hybrid_name, bench_path, monkeypatch
+    ):
+        """evaluate and compare look engine.quest and engine.tent up when they
+        call them, with the session first and the query second, as a tracer
+        that patches them expects."""
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, type(args[0]).__name__, args[1].id))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(engine, "quest", counting("quest", engine.quest))
+        monkeypatch.setattr(engine, "tent", counting("tent", engine.tent))
+        ids = ["it0", "it1", "it2"]
+        want = [(name, "ModelSession", i) for name in ("quest", "tent") for i in ids]
+        code = run_command(
+            ["compare", "--methods", "base,quest,tent", "--backend", hybrid_name,
+             "--benchmark", str(bench_path), "--out", str(tmp_path / "c"), *COMMON, "--steps", "1"]
+        )
+        assert code == 0 and calls == want
+        calls.clear()
+        session = ModelSession(backend=StubBackend(lambda prompt, call: ""), seed=0)
+        items = [BenchmarkItem(id=i, problem="p", answer="1") for i in ids]
+        for method in ("quest", "tent"):
+            evaluate(session, items, method, opt_cfg=OptConfig(steps=1))
+        assert calls == want
 
     def test_compare_rejects_repeated_method(self, tmp_path, hybrid_name, bench_path, capsys):
         code = run_command(

@@ -162,15 +162,6 @@ class TestAdapt:
         _, telemetry = adapt(sess, [pair], spec, cfg)
         assert telemetry.loss_trajectory[-1] < telemetry.loss_trajectory[0]
 
-    def test_seeded_shuffle_mode(self, fresh_backend):
-        sess = ModelSession(backend=fresh_backend)
-        spec = spec_for_all_modules(fresh_backend.adaptable_modules(), rank=2, init_seed=3)
-        cfg = OptConfig(steps=4, lr=1e-3, grad_accumulation=2, seed=9, shuffle=True)
-        s1, _ = adapt(sess, fixed_pairs(), spec, cfg)
-        s2, _ = adapt(sess, fixed_pairs(), spec, cfg)
-        for name in s1.factors:
-            assert np.array_equal(s1.factors[name][1], s2.factors[name][1])
-
     def test_detaches_on_completion(self, fresh_backend):
         sess = ModelSession(backend=fresh_backend)
         spec = spec_for_all_modules(fresh_backend.adaptable_modules(), rank=2)

@@ -288,6 +288,17 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown method"):
             evaluate(session, self._items(1), "magic")
 
+    @pytest.mark.parametrize(
+        "n, temperature, message",
+        [(2, 0.0, "temperature > 0"), (0, 0.8, "n_samples must be positive")],
+    )
+    def test_unusable_sampling_fails_before_any_item(self, n, temperature, message):
+        stub = StubBackend(lambda prompt, call: "\\boxed{1}")
+        sess = ModelSession(backend=stub, seed=0)
+        with pytest.raises(ValueError, match=message):
+            evaluate(sess, self._items(3), "sc", sc_samples=n, sc_temperature=temperature)
+        assert stub.calls == 0
+
     def test_recount_matches_summary(self):
         items = self._items(5)
         sess = ModelSession(backend=gold_echo_stub(items[:3]), seed=0)  # 2 items miss
