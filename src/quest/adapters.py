@@ -1,20 +1,22 @@
-"""Low-rank adapter mathematics: init, attachment, merging, serialization.
+"""Low-rank adapter mathematics: init, merging, serialization.
 
 An adapter augments a frozen weight matrix W with ``scaling * B @ A`` where
 A is (rank, d_in), B is (d_out, rank) and scaling = alpha / rank. A starts
 random at std 1/sqrt(rank), B starts at zero, so a fresh adapter is an exact
 identity: the adapted model *is* the base model until the first update.
+An adapter is a value: it reaches the backend as the ``adapter=`` argument of
+each call that should see it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .backend.session import AdaptableModuleInfo, ModelSession
+from .backend.session import AdaptableModuleInfo
 
 ADAPTER_MAGIC = b"QSTA"
 ADAPTER_DTYPES = ("float32", "float64")
@@ -57,15 +59,13 @@ class AdapterState:
 def init_adapter(spec: AdapterSpec, modules: Sequence[AdaptableModuleInfo]) -> AdapterState:
     """Fresh adapter over the spec's target modules.
 
-    A ~ N(0, 1/sqrt(rank)) seeded by the spec's init seed, B = 0, so attaching
-    the result changes nothing until optimized.
+    A ~ N(0, 1/sqrt(rank)) seeded by the spec's init seed, B = 0, so passing
+    the result to the backend changes nothing until optimized.
     """
     if not spec.target_modules:
         raise ValueError("adapter spec has no target modules")
+    check_targets(spec.target_modules, modules)
     by_name = {m.name: m for m in modules}
-    unknown = [t for t in spec.target_modules if t not in by_name]
-    if unknown:
-        raise ValueError(f"unknown target modules: {', '.join(unknown)}")
     rng = np.random.default_rng(spec.init_seed)
     factors = {}
     for name in spec.target_modules:
@@ -80,6 +80,18 @@ def init_adapter(spec: AdapterSpec, modules: Sequence[AdaptableModuleInfo]) -> A
         b = np.zeros((mod.d_out, spec.rank), dtype=dt)
         factors[name] = (a, b)
     return AdapterState(spec=spec, factors=factors)
+
+
+def check_targets(names: Iterable[str], modules: Sequence[AdaptableModuleInfo]) -> None:
+    """Reject adapter targets the backend does not expose, naming each one.
+
+    A backend looks factors up by module name, so a factor under an unknown
+    name would be skipped silently and the base model would answer.
+    """
+    known = {m.name for m in modules}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"unknown target modules: {', '.join(unknown)}")
 
 
 def spec_for_all_modules(
@@ -99,27 +111,6 @@ def spec_for_all_modules(
     )
 
 
-def attach(session: ModelSession, state: AdapterState) -> ModelSession:
-    """Route subsequent forward/generate calls through the adapter."""
-    if session.adapter is not None:
-        raise ValueError("an adapter is already attached; detach it first")
-    known = {m.name for m in session.backend.adaptable_modules()}
-    unknown = [name for name in state.factors if name not in known]
-    if unknown:
-        raise ValueError(f"adapter targets unknown modules: {', '.join(unknown)}")
-    session.adapter = state
-    return session
-
-
-def detach(session: ModelSession) -> AdapterState:
-    """Remove the attached adapter, restoring exact base behavior."""
-    if session.adapter is None:
-        raise ValueError("no adapter attached")
-    state = session.adapter
-    session.adapter = None
-    return state
-
-
 @dataclass
 class MergedSnapshot:
     """Base parameters with adapter deltas folded in; keeps the deltas so the
@@ -129,13 +120,9 @@ class MergedSnapshot:
     deltas: dict[str, np.ndarray]
 
 
-def merge(session: ModelSession, state: Optional[AdapterState] = None) -> MergedSnapshot:
-    """Fold ``scaling * B @ A`` into copies of the targeted base matrices."""
-    state = state if state is not None else session.adapter
-    if state is None:
-        raise ValueError("nothing to merge: no adapter attached or given")
-    base = session.backend.params
-    params = {k: v.copy() for k, v in base.items()}
+def merge(backend, state: AdapterState) -> MergedSnapshot:
+    """Fold ``scaling * B @ A`` into copies of the backend's targeted base matrices."""
+    params = {k: v.copy() for k, v in backend.params.items()}
     deltas = {}
     for name, (a, b) in state.factors.items():
         delta = (state.scaling * (b @ a)).astype(params[name].dtype)

@@ -9,7 +9,7 @@ pretraining and for adapter-only test-time updates, with no autograd framework
 behind them.
 
 Weight convention: every linear is ``out = x @ W.T`` with ``W`` of shape
-(d_out, d_in). An attached adapter contributes ``scaling * (x @ A.T) @ B.T``
+(d_out, d_in). An adapter passed to a call adds ``scaling * (x @ A.T) @ B.T``
 on the q/k/v/o projections it targets; the branch input is dropped out only
 when a training rng is supplied.
 """

@@ -1,10 +1,11 @@
 """Model sessions, adaptable-module metadata, and the backend registry.
 
 A backend bundles tokenizer + parameters + forward/sampling machinery. A
-ModelSession wraps one backend together with an rng seed and an optional
-attached low-rank adapter; the base parameters behind a session are never
-mutated. Backends are looked up by name through a small registry so external
-implementations can be plugged in next to the built-in "reference" one.
+ModelSession wraps one backend together with an rng seed; adapters are values
+passed to each backend call, and the base parameters behind a session are
+never mutated. Backends are looked up by name through a small registry so
+external implementations can be plugged in next to the built-in "reference"
+one.
 """
 
 from __future__ import annotations
@@ -80,24 +81,15 @@ class Backend(Protocol):
         ...
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSession:
-    """One backend plus per-run state: rng seed and the attached adapter.
-
-    At most one adapter may be attached at a time; attach/detach live in
-    ``quest.adapters``.
-    """
+    """One backend plus the rng seed its sampling calls derive from."""
 
     backend: Any
     seed: int = 0
-    adapter: Any = None
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
 
     def clone(self, seed: Optional[int] = None) -> "ModelSession":
-        """Independent session over the same frozen base; adapter not carried."""
+        """Session over the same frozen base with another seed."""
         return ModelSession(backend=self.backend, seed=self.seed if seed is None else seed)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import engine
-from .adapters import AdapterSpec, load_adapter, save_adapter
+from .adapters import AdapterSpec, init_adapter, load_adapter, save_adapter
 from .backend import create_session
 from .engine import OptConfig, derive_item_seeds
 from .evalkit import emit_report, evaluate, item_to_query, load_benchmark
@@ -124,6 +124,11 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
             if key in _SECTIONS:
                 if not isinstance(value, dict):
                     raise ValueError(f"config key {key!r} must be an object, got {value!r}")
+                if key == "optimization" and "seed" in value:
+                    raise ValueError(
+                        "config key 'optimization.seed' cannot be set: each item's "
+                        "optimizer seed derives from the top-level 'seed'"
+                    )
                 section = _apply_section(getattr(cfg, key), value, f"{key}.")
                 cfg = replace(cfg, **{key: section})
             else:
@@ -146,12 +151,20 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 
 def dump_config(cfg: RunConfig, path) -> None:
     obj = asdict(cfg)
+    del obj["optimization"]["seed"]  # derived per item from ``seed``; not a setting
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
 # -- command plumbing ------------------------------------------------------------
+
+
+def _budgets(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -172,7 +185,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", dest="optimization.lr", type=float)
     p.add_argument("--accumulation", dest="optimization.grad_accumulation", type=int)
     p.add_argument("--max-seq-len", dest="optimization.max_seq_len", type=int)
-    p.add_argument("--sc-samples", dest="sc_samples", help="comma-separated, e.g. 1,2,4,8")
+    p.add_argument(
+        "--sc-samples", dest="sc_samples", type=_budgets, help="comma-separated, e.g. 1,2,4,8"
+    )
     p.add_argument("--sc-temperature", dest="sc_temperature", type=float)
     p.add_argument("--answer-max-new", dest="answer_max_new_tokens", type=int)
     p.add_argument("--system-prompt", dest="system_prompt")
@@ -185,8 +200,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for key, value in vars(args).items():
         if key in ("config", "command", "item_id", "adapter", "checkpoint", "methods", "fn") or value is None:
             continue
-        if key == "sc_samples" and isinstance(value, str):
-            value = [int(x) for x in value.split(",") if x.strip()]
         if "." in key:
             section, _, name = key.partition(".")
             overrides.setdefault(section, {})[name] = value
@@ -207,6 +220,13 @@ def _load_items(cfg: RunConfig, item_id: Optional[str] = None):
         if not items:
             raise ValueError(f"item {item_id!r} not found in {cfg.benchmark}")
     return items
+
+
+def _check_adapter_settings(cfg: RunConfig, session) -> None:
+    """Build one adapter from the settings, so a rank or target module the
+    backend cannot take fails before the run directory is made."""
+    modules = session.backend.adaptable_modules()
+    init_adapter(cfg.adapter_spec(modules), modules)
 
 
 def _echo_config(cfg: RunConfig) -> Path:
@@ -236,6 +256,7 @@ def _cmd_adapt(args) -> int:
     cfg = _config_from_args(args)
     session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
     items = _load_items(cfg, args.item_id)
+    _check_adapter_settings(cfg, session)
     out = _echo_config(cfg)
     for item in items:
         qdir = engine.query_artifact_dir(out, item.id)
@@ -311,6 +332,7 @@ def _cmd_eval(args) -> int:
         )
     session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
     items = _load_items(cfg)
+    _check_adapter_settings(cfg, session)
     out = _echo_config(cfg)
     records, summary = _run_eval(cfg, session, items, cfg.method, cfg.sc_samples[0])
     bench = Path(cfg.benchmark).stem
@@ -331,6 +353,7 @@ def _cmd_compare(args) -> int:
         raise ValueError(f"--methods names {', '.join(repeated)} more than once")
     session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
     items = _load_items(cfg)
+    _check_adapter_settings(cfg, session)
     out = _echo_config(cfg)
     runs = [
         (method, n)

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .adapters import AdapterSpec, AdapterState, attach, detach, init_adapter, trainable_parameters
+from .adapters import AdapterSpec, AdapterState, check_targets, init_adapter, trainable_parameters
 from .backend.session import ModelSession
 from .evalkit import answers_equivalent, extract_boxed, majority_vote
 from .optim import AdamW
@@ -87,14 +87,9 @@ def _answer_prompt_ids(session: ModelSession, query: Query) -> list[int]:
     return session.backend.tokenize(format_answer_prompt(query.text, query.system_prompt))
 
 
-def _greedy_answer(session: ModelSession, prompt_ids: list[int], max_new_tokens: int) -> list[int]:
-    return session.backend.generate(
-        prompt_ids, max_new_tokens, 0.0, adapter=session.adapter, seed=session.seed
-    )
-
-
 def sft_update(
-    session: ModelSession,
+    backend,
+    adapter: AdapterState,
     examples: Sequence[tuple[list[int], list[int]]],
     optimizer: AdamW,
     dropout_rng: Optional[np.random.Generator] = None,
@@ -111,10 +106,6 @@ def sft_update(
         raise ValueError("empty batch")
     if loss not in ("nll", "entropy"):
         raise ValueError(f"unknown loss {loss!r}; expected 'nll' or 'entropy'")
-    adapter = session.adapter
-    if adapter is None:
-        raise ValueError("no adapter attached")
-    backend = session.backend
     total = 0.0
     summed: dict[str, np.ndarray] = {}
     for tokens, mask in examples:
@@ -159,18 +150,14 @@ def _train(
     dropout_rng = np.random.default_rng(derive_seed(cfg.seed, "dropout"))
 
     telemetry = AdaptTelemetry()
-    attach(session, adapter)
-    try:
-        for step in range(cfg.steps):
-            first = step * cfg.grad_accumulation
-            batch = [
-                examples[(first + j) % len(examples)] for j in range(cfg.grad_accumulation)
-            ]
-            value = sft_update(session, batch, optimizer, dropout_rng=dropout_rng, loss=loss)
-            telemetry.loss_trajectory.append(value)
-            telemetry.trained_tokens += sum(len(tokens) for tokens, _ in batch)
-    finally:
-        detach(session)
+    for step in range(cfg.steps):
+        first = step * cfg.grad_accumulation
+        batch = [examples[(first + j) % len(examples)] for j in range(cfg.grad_accumulation)]
+        value = sft_update(
+            session.backend, adapter, batch, optimizer, dropout_rng=dropout_rng, loss=loss
+        )
+        telemetry.loss_trajectory.append(value)
+        telemetry.trained_tokens += sum(len(tokens) for tokens, _ in batch)
     return adapter, telemetry
 
 
@@ -206,16 +193,17 @@ def generate_answer(
     adapter: Optional[AdapterState],
     max_new_tokens: int,
 ) -> tuple[str, int]:
-    """Greedy answer text plus the exact number of tokens generated."""
-    prompt_ids = _answer_prompt_ids(session, query)
+    """Greedy answer text plus the exact number of tokens generated.
+
+    ``adapter`` may come from a file, so its module names are checked against
+    the backend's before any decoding.
+    """
+    backend = session.backend
     if adapter is not None:
-        attach(session, adapter)
-    try:
-        out = _greedy_answer(session, prompt_ids, max_new_tokens)
-    finally:
-        if adapter is not None:
-            detach(session)
-    return session.backend.detokenize(out), len(out)
+        check_targets(adapter.factors, backend.adaptable_modules())
+    prompt_ids = _answer_prompt_ids(session, query)
+    out = backend.generate(prompt_ids, max_new_tokens, 0.0, adapter=adapter, seed=session.seed)
+    return backend.detokenize(out), len(out)
 
 
 def base_answer(
@@ -319,7 +307,7 @@ def quest_no_lora(
     blocks = [f"{pair.problem}\n{pair.solution}\n" for pair in gen.pairs]
     prompt = "".join(blocks) + format_answer_prompt(query.text, query.system_prompt)
     prompt_ids = session.backend.tokenize(prompt)
-    out = _greedy_answer(session, prompt_ids, max_new_tokens)
+    out = session.backend.generate(prompt_ids, max_new_tokens, 0.0, seed=session.seed)
     text = session.backend.detokenize(out)
     telemetry = AdaptTelemetry(
         generated_tokens=gen.generated_tokens + len(out),
@@ -392,20 +380,14 @@ def self_consistency(
     prompt_ids = _answer_prompt_ids(session, query)
     seeds = [derive_seed(session.seed, "sc", k) for k in range(n_samples)]
     prefetch = getattr(session.backend, "prefetch", None)
-    if prefetch is not None and session.adapter is None:
+    if prefetch is not None:
         # the n samples decode in lock-step; the generate calls below read them
         prefetch([(prompt_ids, seed) for seed in seeds], max_new_tokens, temperature)
     texts = []
     answers = []
     total_tokens = 0
     for seed in seeds:
-        out = session.backend.generate(
-            prompt_ids,
-            max_new_tokens,
-            temperature,
-            adapter=session.adapter,
-            seed=seed,
-        )
+        out = session.backend.generate(prompt_ids, max_new_tokens, temperature, seed=seed)
         total_tokens += len(out)
         text = session.backend.detokenize(out)
         texts.append(text)
@@ -514,8 +496,3 @@ def save_telemetry(telemetry: AdaptTelemetry, path: Union[str, Path]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(asdict(telemetry), f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def load_telemetry(path: Union[str, Path]) -> AdaptTelemetry:
-    with open(path, encoding="utf-8") as f:
-        return AdaptTelemetry(**json.load(f))

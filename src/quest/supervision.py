@@ -160,8 +160,6 @@ def _generate_pairs(
     prompt_for: "callable",
     conditioned: bool,
 ) -> DatasetGeneration:
-    if session.adapter is not None:
-        raise ValueError("pair generation must run on the frozen base (detach the adapter)")
     backend = session.backend
     prompts = {i: backend.tokenize(prompt_for(i)) for i in range(1, cfg.n_pairs + 1)}
     prefetch = getattr(backend, "prefetch", None)

@@ -64,7 +64,7 @@ def test_criterion_2_gradient_fidelity():
 
 
 def test_criterion_3_merge_equivalence():
-    """Merged vs attached logits within 1e-5 absolute on 20 random inputs;
+    """Merged vs adapted logits within 1e-5 absolute on 20 random inputs;
     merge -> unmerge recovers base within 1e-5."""
     check_merge_equivalence(random_backend(), n_inputs=20, n_tokens=16)
     print("PASS criterion-3 merge-equivalence (20 inputs < 1e-5, round trip < 1e-5)")

@@ -6,8 +6,6 @@ import pytest
 from quest.adapters import (
     AdapterSpec,
     AdapterState,
-    attach,
-    detach,
     init_adapter,
     load_adapter,
     merge,
@@ -19,6 +17,8 @@ from quest.adapters import (
 )
 from quest.backend import ModelSession
 from quest.backend.session import AdaptableModuleInfo
+from quest.engine import generate_answer
+from quest.supervision import Query
 
 
 def modules_64():
@@ -82,9 +82,9 @@ class TestInit:
 
 def merged_weight(base, a, b, alpha):
     """The weight ``merge`` folds for one module "m0" with factors (A, B)."""
-    session = ModelSession(backend=SimpleNamespace(params={"m0": base}))
+    backend = SimpleNamespace(params={"m0": base})
     spec = AdapterSpec(rank=a.shape[0], alpha=alpha, target_modules=("m0",))
-    return merge(session, AdapterState(spec=spec, factors={"m0": (a, b)})).params["m0"]
+    return merge(backend, AdapterState(spec=spec, factors={"m0": (a, b)})).params["m0"]
 
 
 class TestEffectiveWeight:
@@ -118,54 +118,36 @@ class TestEffectiveWeight:
         assert np.array_equal(base, keep)
 
 
+def logits_vary(logits):
+    """A comparison of constant logits would pass whatever the adapter did."""
+    return logits.std() > 0
+
+
 class TestAttach:
-    def test_fresh_adapter_transparent(self, fresh_backend):
-        sess = ModelSession(backend=fresh_backend)
-        spec = spec_for_all_modules(fresh_backend.adaptable_modules(), rank=2, init_seed=1)
-        state = init_adapter(spec, fresh_backend.adaptable_modules())
-        ids = fresh_backend.tokenize("abc")
-        plain = fresh_backend.forward_logits(ids)
-        attach(sess, state)
-        assert np.array_equal(sess.backend.forward_logits(ids, adapter=sess.adapter), plain)
+    """An adapter passed as ``adapter=`` to the backend's calls."""
 
-    def test_double_attach_rejected(self, fresh_backend):
-        sess = ModelSession(backend=fresh_backend)
-        mods = fresh_backend.adaptable_modules()
-        state = init_adapter(spec_for_all_modules(mods, rank=2), mods)
-        attach(sess, state)
-        with pytest.raises(ValueError, match="already attached"):
-            attach(sess, state)
-
-    def test_attach_detach_preserves_base(self, fresh_backend):
-        before = fresh_backend.checksum()
-        sess = ModelSession(backend=fresh_backend)
-        mods = fresh_backend.adaptable_modules()
-        state = init_adapter(spec_for_all_modules(mods, rank=2), mods)
-        attach(sess, state)
-        detach(sess)
-        assert fresh_backend.checksum() == before
-        assert sess.adapter is None
-
-    def test_detach_without_adapter(self, fresh_backend):
-        with pytest.raises(ValueError, match="no adapter"):
-            detach(ModelSession(backend=fresh_backend))
+    def test_fresh_adapter_transparent(self, random_backend):
+        spec = spec_for_all_modules(random_backend.adaptable_modules(), rank=2, init_seed=1)
+        state = init_adapter(spec, random_backend.adaptable_modules())
+        ids = random_backend.tokenize("abc")
+        plain = random_backend.forward_logits(ids)
+        assert logits_vary(plain)
+        assert np.array_equal(random_backend.forward_logits(ids, adapter=state), plain)
 
     def test_unknown_module_rejected(self, fresh_backend):
-        sess = ModelSession(backend=fresh_backend)
         mods = [AdaptableModuleInfo("not.a.module", 32, 32)]
         state = init_adapter(spec_for_all_modules(mods, rank=2), mods)
+        session = ModelSession(backend=fresh_backend)
         with pytest.raises(ValueError, match="not.a.module"):
-            attach(sess, state)
+            generate_answer(session, Query(id="q", text="abc"), state, 4)
 
     def test_perturbed_b_changes_logits(self, random_backend):
-        sess = ModelSession(backend=random_backend)
         mods = random_backend.adaptable_modules()
         state = init_adapter(spec_for_all_modules(mods, rank=2, init_seed=3), mods)
         ids = random_backend.tokenize("abc de")
         plain = random_backend.forward_logits(ids)
         state.factors["layers.0.attn.v"][1][0, 0] = 0.5
-        attach(sess, state)
-        adapted = random_backend.forward_logits(ids, adapter=sess.adapter)
+        adapted = random_backend.forward_logits(ids, adapter=state)
         assert not np.array_equal(adapted, plain)
 
 
@@ -182,30 +164,29 @@ class TestMerge:
     def test_zero_adapter_merges_to_base_bitwise(self, fresh_backend):
         mods = fresh_backend.adaptable_modules()
         state = init_adapter(spec_for_all_modules(mods, rank=2), mods)
-        snapshot = merge(ModelSession(backend=fresh_backend), state)
+        snapshot = merge(fresh_backend, state)
         for name, arr in fresh_backend.params.items():
             assert np.array_equal(snapshot.params[name], arr)
 
-    def test_merged_equals_attached_within_tolerance(self, fresh_backend):
-        state = self._random_adapter(fresh_backend)
-        snapshot = merge(ModelSession(backend=fresh_backend), state)
-        merged = fresh_backend.with_params(snapshot.params)
+    def test_merged_equals_attached_within_tolerance(self, random_backend):
+        state = self._random_adapter(random_backend)
+        snapshot = merge(random_backend, state)
+        merged = random_backend.with_params(snapshot.params)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            ids = rng.integers(1, fresh_backend.vocab_size, size=12).tolist()
-            attached = fresh_backend.forward_logits(ids, adapter=state)
-            assert np.abs(attached - merged.forward_logits(ids)).max() < 1e-5
+            ids = rng.integers(1, random_backend.vocab_size, size=12).tolist()
+            adapted = random_backend.forward_logits(ids, adapter=state)
+            assert logits_vary(adapted)
+            assert not np.allclose(adapted, random_backend.forward_logits(ids))
+            assert np.abs(adapted - merged.forward_logits(ids)).max() < 1e-5
 
-    def test_merge_unmerge_round_trip(self, fresh_backend):
-        state = self._random_adapter(fresh_backend, seed=8)
-        snapshot = merge(ModelSession(backend=fresh_backend), state)
+    def test_merge_unmerge_round_trip(self, random_backend):
+        state = self._random_adapter(random_backend, seed=8)
+        snapshot = merge(random_backend, state)
+        assert any(np.abs(delta).max() > 1e-3 for delta in snapshot.deltas.values())
         restored = unmerge(snapshot)
-        for name, arr in fresh_backend.params.items():
+        for name, arr in random_backend.params.items():
             assert np.abs(restored[name] - arr).max() < 1e-5
-
-    def test_merge_without_adapter_rejected(self, fresh_backend):
-        with pytest.raises(ValueError, match="nothing to merge"):
-            merge(ModelSession(backend=fresh_backend))
 
 
 class TestTrainableParameters:
@@ -305,17 +286,18 @@ def test_generate_transparent_with_zero_b(ab_backend):
     )
 
 
-def test_dropout_off_at_evaluation(fresh_backend):
+def test_dropout_off_at_evaluation(random_backend):
     # dropout > 0 must not make eval-mode forward or generation stochastic
-    mods = fresh_backend.adaptable_modules()
+    mods = random_backend.adaptable_modules()
     state = init_adapter(spec_for_all_modules(mods, rank=2, dropout=0.5, init_seed=4), mods)
     rng = np.random.default_rng(2)
     for a, b in state.factors.values():
         b[:] = rng.normal(0, 0.2, b.shape).astype(b.dtype)
-    ids = fresh_backend.tokenize("abcd")
-    first = fresh_backend.forward_logits(ids, adapter=state)
-    second = fresh_backend.forward_logits(ids, adapter=state)
+    ids = random_backend.tokenize("abcd")
+    first = random_backend.forward_logits(ids, adapter=state)
+    second = random_backend.forward_logits(ids, adapter=state)
+    assert logits_vary(first)
     assert np.array_equal(first, second)
-    g1 = fresh_backend.generate(ids, 6, 0.0, adapter=state)
-    g2 = fresh_backend.generate(ids, 6, 0.0, adapter=state)
+    g1 = random_backend.generate(ids, 6, 0.0, adapter=state)
+    g2 = random_backend.generate(ids, 6, 0.0, adapter=state)
     assert g1 == g2

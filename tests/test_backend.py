@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -497,7 +497,7 @@ class TestCheckpointFormat:
 class TestRegistry:
     def test_reference_registered(self):
         sess = create_session("reference", seed=4, charset="ab", d_model=16, n_head=2, max_len=16)
-        assert sess.backend_name == "reference"
+        assert sess.backend.name == "reference"
         assert sess.seed == 4
 
     def test_unknown_backend(self):
@@ -514,4 +514,6 @@ def test_session_clone_is_independent(fresh_backend):
     sess = ModelSession(backend=fresh_backend, seed=1)
     clone = sess.clone(seed=9)
     assert clone.seed == 9 and clone.backend is fresh_backend
-    assert clone.adapter is None
+    with pytest.raises(FrozenInstanceError):
+        clone.seed = 1
+    assert sess.seed == 1

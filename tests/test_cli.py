@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from quest import cli, engine
-from quest.backend import ModelSession, ReferenceBackend, register_backend
+from quest.adapters import init_adapter, save_adapter, spec_for_all_modules
+from quest.backend import AdaptableModuleInfo, ModelSession, ReferenceBackend, register_backend
 from quest.backend.reference import _RefCore
 from quest.cli import RunConfig, dump_config, load_config, run_command
 from quest.engine import OptConfig
@@ -154,11 +155,12 @@ class TestLoadConfig:
             ({"sc_temperature": -1.0}, "sc_temperature must be > 0, got -1.0"),
             ({"answer_max_new_tokens": 0}, "answer_max_new_tokens must be >= 1, got 0"),
             ({"optimization": {"shuffle": True}}, "unknown key optimization.'shuffle'"),
+            ({"optimization": {"seed": 7}}, "optimizer seed derives from the top-level 'seed'"),
         ],
         ids=[
             "rank-float", "steps-float", "seed-str", "n_pairs-bool", "target_modules-str",
             "betas-one", "sc_samples-float", "section-int", "sc_temperature-0",
-            "sc_temperature-negative", "answer_max_new-0", "shuffle-removed",
+            "sc_temperature-negative", "answer_max_new-0", "shuffle-removed", "opt-seed",
         ],
     )
     def test_bad_value_rejected(self, tmp_path, layer, message):
@@ -185,6 +187,7 @@ class TestLoadConfig:
         cfg = load_config(None, {"seed": 5, "optimization": {"steps": 3}, "method": "tent"})
         path = tmp_path / "echo.json"
         dump_config(cfg, path)
+        assert "seed" not in json.loads(path.read_text())["optimization"]
         assert load_config(path) == cfg
 
     def test_env_var_overrides_out_dir(self, monkeypatch, tmp_path):
@@ -414,6 +417,44 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["eval", "--method", "base", "--rank", "0"], None, "rank must be positive"),
+            (["eval", "--method", "quest", "--rank", "100"], None,
+             "rank 100 exceeds dimensions of module layers.0.attn.q (64x64)"),
+            (["compare", "--methods", "base,tent"], {"target_modules": ["layers.9.attn.q"]},
+             "unknown target modules: layers.9.attn.q"),
+            (["adapt", "--rank", "0"], None, "rank must be positive"),
+        ],
+        ids=["eval-rank-0", "eval-rank-100", "compare-unknown-module", "adapt-rank-0"],
+    )
+    def test_unbuildable_adapter_fails_before_run_dir(
+        self, tmp_path, hybrid_name, bench_path, capsys, argv, config, message
+    ):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        code = run_command(
+            argv + ["--backend", hybrid_name, "--benchmark", str(bench_path),
+                    "--out", str(tmp_path / "x")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x" / "config.json").exists()
+
+    def test_sc_samples_error_names_the_flag(self, tmp_path, hybrid_name, bench_path, capsys):
+        with pytest.raises(SystemExit):
+            run_command(
+                ["compare", "--methods", "sc", "--sc-samples", "2,x", "--backend", hybrid_name,
+                 "--benchmark", str(bench_path), "--out", str(tmp_path / "x")]
+            )
+        assert "argument --sc-samples: expected comma-separated integers, got '2,x'" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_method_is_one_error_everywhere(
         self, tmp_path, hybrid_name, bench_path, capsys
     ):
@@ -515,6 +556,20 @@ class TestCommands:
         )
         assert code == 0
         assert (out / "it0" / "answer.txt").exists()
+
+    def test_answer_rejects_adapter_for_unknown_module(
+        self, tmp_path, hybrid_name, bench_path, capsys
+    ):
+        mods = [AdaptableModuleInfo("layers.9.attn.q", 64, 64)]
+        path = tmp_path / "ghost.qsta"
+        save_adapter(init_adapter(spec_for_all_modules(mods, rank=2), mods), path)
+        code = run_command(
+            ["answer", "--backend", hybrid_name, "--benchmark", str(bench_path),
+             "--item-id", "it0", "--adapter", str(path), "--out", str(tmp_path / "ans")] + COMMON
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown target modules: layers.9.attn.q\n"
+        assert not (tmp_path / "ans" / "it0" / "answer.txt").exists()
 
 
 def test_module_entry_point_runs():

@@ -61,39 +61,37 @@ class TestSftUpdate:
     def _setup(self, backend, lr=1e-3, weight_decay=0.01):
         mods = backend.adaptable_modules()
         state = init_adapter(spec_for_all_modules(mods, rank=2, dropout=0.0, init_seed=1), mods)
-        sess = ModelSession(backend=backend)
-        sess.adapter = state
         opt = AdamW(trainable_parameters(state), lr=lr, weight_decay=weight_decay)
         example = make_training_example(AuxPair(problem="ab?", solution="ba"), backend)
-        return sess, state, opt, example
+        return state, opt, example
 
     def test_empty_batch(self, fresh_backend):
-        sess, _, opt, _ = self._setup(fresh_backend)
+        state, opt, _ = self._setup(fresh_backend)
         with pytest.raises(ValueError, match="empty batch"):
-            sft_update(sess, [], opt)
+            sft_update(fresh_backend, state, [], opt)
 
     def test_unknown_loss(self, fresh_backend):
-        sess, _, opt, example = self._setup(fresh_backend)
+        state, opt, example = self._setup(fresh_backend)
         with pytest.raises(ValueError, match="unknown loss"):
-            sft_update(sess, [example], opt, loss="kl")
+            sft_update(fresh_backend, state, [example], opt, loss="kl")
 
     def test_base_checksum_unchanged(self, fresh_backend):
         before = fresh_backend.checksum()
-        sess, _, opt, example = self._setup(fresh_backend)
-        sft_update(sess, [example], opt)
+        state, opt, example = self._setup(fresh_backend)
+        sft_update(fresh_backend, state, [example], opt)
         assert fresh_backend.checksum() == before
 
     def test_zero_lr_zero_decay_is_noop(self, fresh_backend):
-        sess, state, opt, example = self._setup(fresh_backend, lr=0.0, weight_decay=0.0)
+        state, opt, example = self._setup(fresh_backend, lr=0.0, weight_decay=0.0)
         keep = {k: v.copy() for k, v in trainable_parameters(state).items()}
-        sft_update(sess, [example], opt)
+        sft_update(fresh_backend, state, [example], opt)
         for key, arr in trainable_parameters(state).items():
             assert np.array_equal(arr, keep[key])
 
     def test_step_counter_and_a_factor_move(self, fresh_backend):
-        sess, state, opt, example = self._setup(fresh_backend)
+        state, opt, example = self._setup(fresh_backend)
         keep_a = {k: v.copy() for k, v in trainable_parameters(state).items() if k.endswith(".A")}
-        sft_update(sess, [example], opt)
+        sft_update(fresh_backend, state, [example], opt)
         assert state.step_count == 1
         moved = any(
             not np.array_equal(arr, keep_a[key])
@@ -162,12 +160,6 @@ class TestAdapt:
         _, telemetry = adapt(sess, [pair], spec, cfg)
         assert telemetry.loss_trajectory[-1] < telemetry.loss_trajectory[0]
 
-    def test_detaches_on_completion(self, fresh_backend):
-        sess = ModelSession(backend=fresh_backend)
-        spec = spec_for_all_modules(fresh_backend.adaptable_modules(), rank=2)
-        adapt(sess, fixed_pairs(), spec, OptConfig(steps=1, grad_accumulation=1))
-        assert sess.adapter is None
-
 
 class TestQuest:
     def test_deterministic_and_resetting(self, pattern_world):
@@ -184,7 +176,6 @@ class TestQuest:
         assert r1.telemetry.generated_tokens == r2.telemetry.generated_tokens
         assert r1.telemetry.trained_tokens == r2.telemetry.trained_tokens
         assert r1.method_label == "quest"
-        assert sess.adapter is None
 
     def test_base_answer_unchanged_after_quest(self, pattern_world):
         sess = pattern_session(pattern_world)
@@ -333,7 +324,6 @@ class TestObjectivePins:
         assert answer != base_answer(sess, self.QUERY, max_new_tokens=10).answer_text
         assert result.telemetry.trained_tokens == 4 * 2 * len(random_backend.tokenize(self.QUERY.text))
         assert result.telemetry.pairs_used == 0
-        assert sess.adapter is None
 
 
 class TestSelfConsistency:

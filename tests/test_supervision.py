@@ -137,12 +137,6 @@ class TestGenerateDataset:
         assert all(not p.conditioned for p in gen.pairs)
         assert all("practice problem" in p for p in seen)
 
-    def test_adapter_attached_rejected(self):
-        sess = ModelSession(backend=StubBackend(lambda p, c: WELL_FORMED), seed=0)
-        sess.adapter = object()
-        with pytest.raises(ValueError, match="frozen base"):
-            generate_dataset(sess, Query(id="q", text="x"), GenConfig())
-
     def test_retry_uses_fresh_seed(self, ab_backend):
         # real backend: retries must not replay the identical failed sample
         seeds_seen = []
