@@ -10,9 +10,9 @@ each call that should see it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,11 +45,17 @@ class AdapterSpec:
 
 @dataclass
 class AdapterState:
-    """Per-module (A, B) factor pairs; the only trainable state at test time."""
+    """Per-module (A, B) factor pairs; the only trainable state at test time.
+
+    From ``init_adapter`` and ``load_adapter`` every factor is a view of
+    ``buffer``, one contiguous tensor holding A then B of each module in
+    factor order, so an optimizer steps them all at once.
+    """
 
     spec: AdapterSpec
     factors: dict[str, tuple[np.ndarray, np.ndarray]]
     step_count: int = 0
+    buffer: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def scaling(self) -> float:
@@ -66,20 +72,35 @@ def init_adapter(spec: AdapterSpec, modules: Sequence[AdaptableModuleInfo]) -> A
         raise ValueError("adapter spec has no target modules")
     check_targets(spec.target_modules, modules)
     by_name = {m.name: m for m in modules}
-    rng = np.random.default_rng(spec.init_seed)
-    factors = {}
-    for name in spec.target_modules:
-        mod = by_name[name]
+    targets = [by_name[name] for name in spec.target_modules]
+    for mod in targets:
         if spec.rank > min(mod.d_in, mod.d_out):
             raise ValueError(
-                f"rank {spec.rank} exceeds dimensions of module {name} "
+                f"rank {spec.rank} exceeds dimensions of module {mod.name} "
                 f"({mod.d_in}x{mod.d_out})"
             )
-        dt = np.dtype(mod.dtype)
-        a = rng.normal(0.0, 1.0 / np.sqrt(spec.rank), (spec.rank, mod.d_in)).astype(dt)
-        b = np.zeros((mod.d_out, spec.rank), dtype=dt)
+    dtypes = sorted({mod.dtype for mod in targets})
+    if len(dtypes) != 1:
+        raise ValueError(f"target modules must share one dtype, got {', '.join(dtypes)}")
+    state = _laid_out(spec, {mod.name: (mod.d_in, mod.d_out) for mod in targets}, dtypes[0])
+    rng = np.random.default_rng(spec.init_seed)
+    for a, _ in state.factors.values():
+        a[...] = rng.normal(0.0, 1.0 / np.sqrt(spec.rank), a.shape)
+    return state
+
+
+def _laid_out(spec: AdapterSpec, dims: dict[str, tuple[int, int]], dtype: str) -> AdapterState:
+    """A zero adapter over modules ``name -> (d_in, d_out)`` whose factors
+    are views of one buffer, A then B of each module in order."""
+    r = spec.rank
+    buffer = np.zeros(sum(r * (d_in + d_out) for d_in, d_out in dims.values()), np.dtype(dtype))
+    factors, start = {}, 0
+    for name, (d_in, d_out) in dims.items():
+        a = buffer[start : start + r * d_in].reshape(r, d_in)
+        b = buffer[start + r * d_in : start + r * (d_in + d_out)].reshape(d_out, r)
         factors[name] = (a, b)
-    return AdapterState(spec=spec, factors=factors)
+        start += r * (d_in + d_out)
+    return AdapterState(spec=spec, factors=factors, buffer=buffer)
 
 
 def check_targets(names: Iterable[str], modules: Sequence[AdaptableModuleInfo]) -> None:
@@ -92,6 +113,24 @@ def check_targets(names: Iterable[str], modules: Sequence[AdaptableModuleInfo]) 
     unknown = [name for name in names if name not in known]
     if unknown:
         raise ValueError(f"unknown target modules: {', '.join(unknown)}")
+
+
+def check_adapter(state: AdapterState, modules: Sequence[AdaptableModuleInfo]) -> None:
+    """Reject an adapter the backend cannot take, naming the module: a factor
+    under an unknown module name, or one whose shape or dtype does not fit
+    its module (A is (rank, d_in), B is (d_out, rank), both the module's
+    dtype). ``state`` may come from a file, built for another model."""
+    check_targets(state.factors, modules)
+    by_name = {m.name: m for m in modules}
+    r = state.spec.rank
+    for name, (a, b) in state.factors.items():
+        mod = by_name[name]
+        want = ((r, mod.d_in), (mod.d_out, r))
+        if (a.shape, b.shape) != want or not a.dtype == b.dtype == np.dtype(mod.dtype):
+            raise ValueError(
+                f"adapter factors of {name} do not fit the module: expected A {want[0]} and "
+                f"B {want[1]} of {mod.dtype}, got A {a.shape} of {a.dtype} and B {b.shape} of {b.dtype}"
+            )
 
 
 def spec_for_all_modules(
@@ -140,16 +179,15 @@ def unmerge(snapshot: MergedSnapshot) -> dict[str, np.ndarray]:
 
 
 def trainable_parameters(state: AdapterState) -> dict[str, np.ndarray]:
-    """Flat name -> tensor view of every A and B factor, in module order."""
-    out = {}
-    for name, (a, b) in state.factors.items():
-        out[f"{name}.A"] = a
-        out[f"{name}.B"] = b
-    return out
+    """The one trainable tensor, ``{"factors": state.buffer}``: every A and
+    B factor flattened, in factor order, and shared with ``state.factors``."""
+    if state.buffer is None:
+        raise ValueError("adapter factors are not laid out in one buffer; use init_adapter or load_adapter")
+    return {"factors": state.buffer}
 
 
 def num_trainable(state: AdapterState) -> int:
-    return sum(arr.size for arr in trainable_parameters(state).values())
+    return sum(a.size + b.size for a, b in state.factors.values())
 
 
 # -- serialization ("QSTA" container) ------------------------------------------
@@ -190,18 +228,21 @@ def load_adapter(path: Union[str, Path]) -> AdapterState:
         dtype = meta.get("dtype", "float32")
         if dtype not in ADAPTER_DTYPES:
             raise ValueError(f"unsupported adapter dtype {dtype!r}")
-        factors = {}
-        for entry in meta["targets"]:
-            a = read_tensor(f, (rank, entry["d_in"]), dtype)
-            b = read_tensor(f, (entry["d_out"], rank), dtype)
-            factors[entry["name"]] = (a, b)
+        spec = AdapterSpec(
+            rank=rank,
+            alpha=meta["alpha"],
+            dropout=meta["dropout"],
+            target_modules=tuple(entry["name"] for entry in meta["targets"]),
+            init_seed=meta["init_seed"],
+        )
+        dims = {entry["name"]: (entry["d_in"], entry["d_out"]) for entry in meta["targets"]}
+        if len(dims) != len(meta["targets"]):
+            raise ValueError("adapter file lists a target module twice")
+        state = _laid_out(spec, dims, dtype)
+        for a, b in state.factors.values():
+            a[...] = read_tensor(f, a.shape, dtype)
+            b[...] = read_tensor(f, b.shape, dtype)
         if f.read(1):
             raise ValueError("trailing bytes after adapter factors")
-    spec = AdapterSpec(
-        rank=rank,
-        alpha=meta["alpha"],
-        dropout=meta["dropout"],
-        target_modules=tuple(entry["name"] for entry in meta["targets"]),
-        init_seed=meta["init_seed"],
-    )
-    return AdapterState(spec=spec, factors=factors, step_count=meta["step_count"])
+    state.step_count = meta["step_count"]
+    return state

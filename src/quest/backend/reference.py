@@ -41,6 +41,15 @@ _RMS_EPS = 1e-5
 # objects: about 2.3 MB in all at max_len 256.
 _MEMO_ENTRIES = 4096
 
+# Tokens one training forward and backward stack, as rows of equal length T:
+# max(1, _STACK_TOKENS // T) rows. Short examples stack (the 22-token
+# micro-batches of bench/'s hidden_rule, 4 rows); long ones run one row at a
+# time. Measured end to end with bench/run.py on self_generated (~154-token
+# examples; 2 vCPUs, numpy 2.4.6 with OpenBLAS), 10 alternating pairs, this
+# cap against one stack per length: query_s median 0.322 s against 0.379 s
+# (the cap won 10 of 10) and peak_rss_mb 53.8 against 64.8 MB.
+_STACK_TOKENS = 128
+
 DEFAULT_CHARSET = "\n\t" + "".join(chr(c) for c in range(32, 127))
 
 
@@ -195,7 +204,7 @@ class _RefCore:
         self,
         ids: Sequence[int],
         adapter: Any = None,
-        dropout_rng: Optional[np.random.Generator] = None,
+        keep: Optional[np.ndarray] = None,
         kv: Optional[list[tuple[np.ndarray, np.ndarray]]] = None,
         start: int = 0,
     ) -> tuple[np.ndarray, dict]:
@@ -207,13 +216,16 @@ class _RefCore:
         never flattened to (B*T, d), so each row gets the bits a forward over
         that row alone would give.
 
-        ``dropout_rng`` switches the adapter branch into training mode; eval
-        calls leave it None and are fully deterministic. ``kv`` is an optional
-        key/value cache from ``empty_kv(B)`` for a (B, T) chunk: the chunk's
-        keys and values are written at its positions and attention runs over
-        everything cached before them, so a prompt can be fed in one call and
-        decoding continued one token per call. Backward needs the one-row,
-        uncached, ``start=0`` form.
+        ``keep`` switches the adapter branch into training mode: boolean
+        dropout masks of shape (B, n, T, d) for the n adapted modules in
+        forward order (layer by layer, q, k, v, o), False where that branch
+        input is dropped. Eval calls leave it None and are fully
+        deterministic. ``kv`` is an optional key/value cache from
+        ``empty_kv(B)`` for a (B, T) chunk: the chunk's keys and values are
+        written at its positions and attention runs over everything cached
+        before them, so a prompt can be fed in one call and decoding continued
+        one token per call. Backward needs the uncached, ``start=0`` form, and
+        one row for base gradients.
         """
         cfg, p = self.config, self.params
         ids_arr = np.asarray(ids, dtype=np.intp)
@@ -223,7 +235,8 @@ class _RefCore:
         if ids_arr.size and (ids_arr.min() < 0 or ids_arr.max() >= cfg.vocab_size):
             raise ValueError("token id out of range")
         factors, scaling, dropout = _adapter_view(adapter)
-        train = dropout_rng is not None and dropout > 0.0
+        # one (B, T, d) mask per adapted module, taken in forward order
+        masks = None if keep is None else iter(np.moveaxis(keep, -3, 0))
 
         x = p["wte"][ids_arr] + p["wpe"][start : start + T]
         cache: dict[str, Any] = {"ids": ids_arr, "T": T, "scaling": scaling, "layers": []}
@@ -240,9 +253,8 @@ class _RefCore:
             A, B = fac
             mask = None
             branch_in = xin
-            if train:
-                keep = (dropout_rng.random(xin.shape) >= dropout).astype(xin.dtype)
-                mask = keep / np.asarray(1.0 - dropout, dtype=xin.dtype)
+            if masks is not None:
+                mask = next(masks).astype(xin.dtype) / np.asarray(1.0 - dropout, dtype=xin.dtype)
                 branch_in = xin * mask
             h = branch_in @ A.T
             out = out + (h @ B.T) * np.asarray(scaling, dtype=xin.dtype)
@@ -297,15 +309,22 @@ class _RefCore:
     # backward --------------------------------------------------------------
 
     def backward(self, cache: dict, dlogits: np.ndarray, wrt: str) -> dict:
-        """Backpropagate dL/dlogits.
+        """Backpropagate dL/dlogits through the cache of an uncached forward.
 
-        wrt="base": gradients for every base tensor (no adapter may be active).
+        wrt="base": gradients for every base tensor of a one-row forward (no
+        adapter may be active).
         wrt="adapter": gradients {module: (dA, dB)} for adapted modules only.
+        Over a (B, T) forward they are stacked per row, (B, rank, d_in) and
+        (B, d_out, rank); every product stays stacked over rows, as in
+        ``forward``, so each row gets the bits a backward over it alone would.
         """
         if wrt not in ("base", "adapter"):
             raise ValueError(f"wrt must be 'base' or 'adapter', got {wrt!r}")
         cfg, p = self.config, self.params
-        T = cache["T"]
+        ids_arr, T = cache["ids"], cache["T"]
+        lead = ids_arr.shape[:-1]
+        if wrt == "base" and lead:
+            raise ValueError("base gradients take a one-row forward")
         scaling = cache["scaling"]
         H, hd = cfg.n_head, cfg.head_dim
         inv_sqrt = 1.0 / math.sqrt(hd)
@@ -313,16 +332,19 @@ class _RefCore:
         adapter_grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         dlogits = dlogits.astype(p["lm_head"].dtype, copy=False)
 
+        def t(g: np.ndarray) -> np.ndarray:
+            return g.swapaxes(-1, -2)
+
         def adapted_bwd(dout: np.ndarray, name: str, lin_cache) -> np.ndarray:
             xin, branch_in, h, mask, fac = lin_cache
             dx = dout @ p[name]
             if wrt == "base":
-                base[name] = dout.T @ xin
+                base[name] = t(dout) @ xin
             if fac is not None:
                 A, B = fac
                 dh = scaling * (dout @ B)
                 if wrt == "adapter":
-                    adapter_grads[name] = (dh.T @ branch_in, scaling * (dout.T @ h))
+                    adapter_grads[name] = (t(dh) @ branch_in, scaling * (t(dout) @ h))
                 dbranch = dh @ A
                 if mask is not None:
                     dbranch = dbranch * mask
@@ -331,33 +353,34 @@ class _RefCore:
 
         dxf = dlogits @ p["lm_head"]
         if wrt == "base":
-            base["lm_head"] = dlogits.T @ cache["final_norm"]
+            base["lm_head"] = t(dlogits) @ cache["final_norm"]
         dx = _rmsnorm_bwd(dxf, cache["final_in"], cache["final_inv"])
+        heads, merged = (*lead, T, H, hd), (*lead, T, cfg.d_model)
 
         for li in range(cfg.n_layer - 1, -1, -1):
             lc = cache["layers"][li]
             # MLP block
             dh_act = dx @ p[f"layers.{li}.mlp.fc2"]
             if wrt == "base":
-                base[f"layers.{li}.mlp.fc2"] = dx.T @ lc["h_act"]
+                base[f"layers.{li}.mlp.fc2"] = t(dx) @ lc["h_act"]
             dh_pre = dh_act * (2.0 * np.maximum(lc["h_pre"], 0.0))
             db = dh_pre @ p[f"layers.{li}.mlp.fc1"]
             if wrt == "base":
-                base[f"layers.{li}.mlp.fc1"] = dh_pre.T @ lc["b_norm"]
+                base[f"layers.{li}.mlp.fc1"] = t(dh_pre) @ lc["b_norm"]
             dx = dx + _rmsnorm_bwd(db, lc["mlp_in"], lc["b_inv"])
 
-            # attention block
+            # attention block, in the forward's head-major (..., H, T, hd) layout
             dattn = adapted_bwd(dx, f"layers.{li}.attn.o", lc["o_cache"])
-            dattn_h = dattn.reshape(T, H, hd).transpose(1, 0, 2)
+            dattn_h = dattn.reshape(heads).swapaxes(-3, -2)
             probs, vh, qh, kh = lc["probs"], lc["vh"], lc["qh"], lc["kh"]
-            dprobs = dattn_h @ vh.transpose(0, 2, 1)
-            dvh = probs.transpose(0, 2, 1) @ dattn_h
-            dscores = probs * (dprobs - (probs * dprobs).sum(axis=2, keepdims=True))
+            dprobs = dattn_h @ t(vh)
+            dvh = t(probs) @ dattn_h
+            dscores = probs * (dprobs - (probs * dprobs).sum(axis=-1, keepdims=True))
             dqh = (dscores @ kh) * inv_sqrt
-            dkh = (dscores.transpose(0, 2, 1) @ qh) * inv_sqrt
+            dkh = (t(dscores) @ qh) * inv_sqrt
 
             def to_flat(g):
-                return g.transpose(1, 0, 2).reshape(T, -1)
+                return g.swapaxes(-3, -2).reshape(merged)
 
             da = adapted_bwd(to_flat(dqh), f"layers.{li}.attn.q", lc["q_cache"])
             da += adapted_bwd(to_flat(dkh), f"layers.{li}.attn.k", lc["k_cache"])
@@ -365,7 +388,6 @@ class _RefCore:
             dx = dx + _rmsnorm_bwd(da, lc["attn_in"], lc["a_inv"])
 
         if wrt == "base":
-            ids_arr = cache["ids"]
             dwte = np.zeros_like(p["wte"])
             np.add.at(dwte, ids_arr, dx)
             base["wte"] = dwte
@@ -383,30 +405,36 @@ def _log_softmax64(logits: np.ndarray) -> np.ndarray:
 
 
 def _nll_and_dlogits(
-    logits: np.ndarray, ids: Sequence[int], loss_mask: Sequence[int]
-) -> tuple[float, np.ndarray]:
-    """Mean NLL over mask-1 targets plus dL/dlogits (float64)."""
+    logits: np.ndarray, ids: np.ndarray, loss_mask: np.ndarray
+) -> tuple[list[float], np.ndarray]:
+    """Per row of (B, T, V) logits, the mean NLL over mask-1 targets of ``ids``
+    and ``loss_mask`` (both (B, T)); plus dL/dlogits (float64)."""
     logp = _log_softmax64(logits)
-    targets = [t for t, m in enumerate(loss_mask) if m]
-    loss = -sum(logp[t - 1, ids[t]] for t in targets) / len(targets)
-    dlogits = np.zeros_like(logp)
+    rows, targets = np.nonzero(loss_mask)  # row-major: each row's targets in order
+    picked = logp[rows, targets - 1, ids[rows, targets]].tolist()
+    counts = np.count_nonzero(loss_mask, axis=-1)
+    w = 1.0 / counts
+    losses, first = [], 0
+    for n in counts.tolist():
+        losses.append(-sum(picked[first : first + n]) / n)
+        first += n
     probs = np.exp(logp)
-    w = 1.0 / len(targets)
-    for t in targets:
-        dlogits[t - 1] += probs[t - 1] * w
-        dlogits[t - 1, ids[t]] -= w
-    return float(loss), dlogits
+    dlogits = np.zeros_like(logp)
+    dlogits[rows, targets - 1] = probs[rows, targets - 1] * w[rows, None]
+    dlogits[rows, targets - 1, ids[rows, targets]] -= w[rows]
+    return losses, dlogits
 
 
-def _entropy_and_dlogits(logits: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean per-position Shannon entropy of next-token distributions."""
+def _entropy_and_dlogits(logits: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Per row of (B, T, V) logits, the mean per-position Shannon entropy of
+    its next-token distributions; plus dL/dlogits (float64)."""
     logp = _log_softmax64(logits)
     probs = np.exp(logp)
     # p log p -> 0 (not nan) where p underflowed to exactly zero
     plogp = np.where(probs > 0.0, probs * logp, 0.0)
     row_h = -plogp.sum(axis=-1)
-    dlogits = -(plogp + probs * row_h[:, None]) / logits.shape[0]
-    return float(row_h.mean()), dlogits
+    dlogits = -(plogp + probs * row_h[..., None]) / logits.shape[-2]
+    return row_h.mean(axis=-1).tolist(), dlogits
 
 
 def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -494,9 +522,9 @@ class ReferenceBackend:
 
     def masked_nll(self, tokens: Sequence[int], loss_mask: Sequence[int], adapter: Any = None) -> float:
         check_loss_mask(tokens, loss_mask)
-        logits, _ = self._core.forward(tokens, adapter=adapter)
-        loss, _ = _nll_and_dlogits(logits, list(tokens), loss_mask)
-        return loss
+        logits, _ = self._core.forward([tokens], adapter=adapter)
+        losses, _ = _nll_and_dlogits(logits, np.asarray([tokens]), np.asarray([loss_mask], dtype=bool))
+        return losses[0]
 
     def masked_nll_with_grads(
         self,
@@ -504,27 +532,105 @@ class ReferenceBackend:
         loss_mask: Sequence[int],
         adapter: Any,
         dropout_rng: Optional[np.random.Generator] = None,
+        lengths: Optional[Sequence[int]] = None,
     ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
-        """Training-mode loss and adapter-factor gradients."""
+        """Training-mode masked NLL and adapter-factor gradients of the
+        examples packed end to end in ``tokens`` and ``loss_mask``, one of
+        ``lengths[i]`` tokens each (None: one example). Returns the sum of
+        the examples' losses and of their gradients, each added in example
+        order."""
         check_loss_mask(tokens, loss_mask)
-        logits, cache = self._core.forward(tokens, adapter=adapter, dropout_rng=dropout_rng)
-        loss, dlogits = _nll_and_dlogits(logits, list(tokens), loss_mask)
-        return loss, self._core.backward(cache, dlogits, wrt="adapter")
+        return self._grads(tokens, lengths, adapter, dropout_rng, loss_mask)
 
     def mean_entropy(self, tokens: Sequence[int], adapter: Any = None) -> float:
-        logits, _ = self._core.forward(tokens, adapter=adapter)
-        value, _ = _entropy_and_dlogits(logits)
-        return value
+        logits, _ = self._core.forward([tokens], adapter=adapter)
+        values, _ = _entropy_and_dlogits(logits)
+        return values[0]
 
     def entropy_with_grads(
         self,
         tokens: Sequence[int],
         adapter: Any,
         dropout_rng: Optional[np.random.Generator] = None,
+        lengths: Optional[Sequence[int]] = None,
     ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
-        logits, cache = self._core.forward(tokens, adapter=adapter, dropout_rng=dropout_rng)
-        value, dlogits = _entropy_and_dlogits(logits)
-        return value, self._core.backward(cache, dlogits, wrt="adapter")
+        """Training-mode mean entropy and adapter-factor gradients; examples
+        are packed as for ``masked_nll_with_grads``, and so are the sums."""
+        return self._grads(tokens, lengths, adapter, dropout_rng, None)
+
+    def _grads(
+        self,
+        tokens: Sequence[int],
+        lengths: Optional[Sequence[int]],
+        adapter: Any,
+        dropout_rng: Optional[np.random.Generator],
+        loss_mask: Optional[Sequence[int]],
+    ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
+        """Summed loss and adapter gradients of the examples packed in
+        ``tokens``: masked NLL under ``loss_mask``, or mean entropy when it
+        is None.
+
+        Examples of one length run stacked, at most ``_STACK_TOKENS // T``
+        rows to a forward and backward, and are never padded. Dropout draws
+        are taken before any forward, one (modules, T, d) draw per example in
+        example order, so they are the stream one call per example would
+        draw; only their keep masks are held, an eighth of the draws' bytes.
+        """
+        lengths = [len(tokens)] if lengths is None else [int(n) for n in lengths]
+        if not lengths or min(lengths) < 1:
+            raise ValueError(f"example lengths must be positive, got {lengths}")
+        if sum(lengths) != len(tokens):
+            raise ValueError(f"example lengths sum to {sum(lengths)}, but {len(tokens)} tokens were given")
+        spans = list(zip(np.cumsum([0] + lengths[:-1]).tolist(), lengths))  # (start, T)
+        if loss_mask is not None:
+            for lo, T in spans:
+                check_loss_mask(tokens[lo : lo + T], loss_mask[lo : lo + T])
+            loss_mask = np.asarray(loss_mask, dtype=bool)
+        ids = np.asarray(tokens, dtype=np.intp)
+        groups: dict[int, list[int]] = {}
+        for i, (_, T) in enumerate(spans):
+            groups.setdefault(T, []).append(i)
+        factors, _, dropout = _adapter_view(adapter)
+        n_mod = sum(m.name in factors for m in self.adaptable_modules())
+        keep: dict[int, np.ndarray] = {}
+        if dropout_rng is not None and dropout > 0.0 and n_mod:
+            d = self.config.d_model
+            keep = {T: np.empty((len(rows), n_mod, T, d), dtype=bool) for T, rows in groups.items()}
+            filled = dict.fromkeys(groups, 0)
+            for _, T in spans:
+                np.greater_equal(dropout_rng.random((n_mod, T, d)), dropout, out=keep[T][filled[T]])
+                filled[T] += 1
+
+        losses: list[float] = [0.0] * len(spans)
+        stacks = []  # (example indices, their gradients stacked over rows)
+        for T, rows in groups.items():
+            cap = max(1, _STACK_TOKENS // T)
+            for first in range(0, len(rows), cap):
+                chunk = rows[first : first + cap]
+                index = np.array([spans[i][0] for i in chunk])[:, None] + np.arange(T)
+                batch = ids[index]
+                masks = keep[T][first : first + cap] if keep else None
+                logits, cache = self._core.forward(batch, adapter=adapter, keep=masks)
+                if loss_mask is None:
+                    values, dlogits = _entropy_and_dlogits(logits)
+                else:
+                    values, dlogits = _nll_and_dlogits(logits, batch, loss_mask[index])
+                stacks.append((chunk, self._core.backward(cache, dlogits, wrt="adapter")))
+                for row, i in enumerate(chunk):
+                    losses[i] = values[row]
+
+        at = {i: (grads, row) for chunk, grads in stacks for row, i in enumerate(chunk)}
+        summed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for i in range(len(spans)):
+            grads, row = at[i]
+            for name, (dA, dB) in grads.items():
+                if name in summed:
+                    ga, gb = summed[name]
+                    ga += dA[row]
+                    gb += dB[row]
+                else:
+                    summed[name] = (dA[row].copy(), dB[row].copy())
+        return sum(losses), summed
 
     # -- generation ---------------------------------------------------------
 
@@ -727,12 +833,12 @@ def train_reference(
         ids = tok.encode(doc)[: config.max_len - 1] + [tok.eos_id]
         if len(ids) < 2:
             continue
-        mask = [0] + [1] * (len(ids) - 1)
+        mask = np.arange(len(ids)) > 0
         logits, cache = core.forward(ids)
-        loss, dlogits = _nll_and_dlogits(logits, ids, mask)
-        grads = core.backward(cache, dlogits, wrt="base")
+        losses, dlogits = _nll_and_dlogits(logits[None], np.asarray([ids]), mask[None])
+        grads = core.backward(cache, dlogits[0], wrt="base")
         opt.step(grads)
         if log_every and (step + 1) % log_every == 0:
-            print(f"step {step + 1:>5}/{steps}  loss {loss:.4f}")
+            print(f"step {step + 1:>5}/{steps}  loss {losses[0]:.4f}")
 
     return ReferenceBackend(config, params)

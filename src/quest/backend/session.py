@@ -33,8 +33,19 @@ class Backend(Protocol):
 
     Adapter-aware methods accept the adapter state duck-typed: it must expose
     ``factors`` (mapping module name -> (A, B) arrays), ``scaling`` and
-    ``spec.dropout``. Gradient entry points are only required of backends
-    meant to be optimized at test time.
+    ``spec.dropout``.
+
+    Backends meant to be optimized at test time also offer the two gradient
+    entry points, ``masked_nll_with_grads(tokens, loss_mask, adapter,
+    dropout_rng=None, lengths=None)`` and ``entropy_with_grads(tokens,
+    adapter, dropout_rng=None, lengths=None)``. Each takes one micro-batch
+    packed end to end: ``tokens`` (and ``loss_mask``) hold every example and
+    ``lengths`` gives each example's length, summing to ``len(tokens)``;
+    ``None`` means one example. Every example's mask must pass
+    ``check_loss_mask``. They return the sum of the per-example losses and
+    ``{module: (dA, dB)}`` with the sum of the per-example adapter
+    gradients, both added in example order. ``dropout_rng`` switches on the
+    adapter's dropout; the examples draw from it in example order.
 
     A backend may also offer ``prefetch(requests, max_new_tokens,
     temperature)``: it decodes adapter-free ``(prompt, seed)`` requests

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import engine
-from .adapters import AdapterSpec, init_adapter, load_adapter, save_adapter
+from .adapters import AdapterSpec, check_adapter, init_adapter, load_adapter, save_adapter
 from .backend import create_session
 from .engine import OptConfig, derive_item_seeds
 from .evalkit import emit_report, evaluate, item_to_query, load_benchmark
@@ -289,14 +289,20 @@ def _cmd_answer(args) -> int:
     cfg = _config_from_args(args)
     session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
     items = _load_items(cfg, args.item_id)
+    given = None
+    if args.adapter:
+        # a file that cannot serve this backend fails before the run directory is made
+        given = load_adapter(args.adapter)
+        check_adapter(given, session.backend.adaptable_modules())
     out = _echo_config(cfg)
     for item in items:
         seeds = derive_item_seeds(cfg.seed, item.id)
         isess = session.clone(seed=seeds["session"])
         query = item_to_query(item, cfg.system_prompt)
         qdir = engine.query_artifact_dir(out, item.id)
-        adapter_path = Path(args.adapter) if args.adapter else qdir / "adapter.qsta"
-        adapter = load_adapter(adapter_path) if adapter_path.exists() else None
+        adapter = given
+        if adapter is None and (qdir / "adapter.qsta").exists():
+            adapter = load_adapter(qdir / "adapter.qsta")
         text, _ = engine.generate_answer(isess, query, adapter, cfg.answer_max_new_tokens)
         (qdir / "answer.txt").write_text(text, encoding="utf-8")
         print(f"{item.id}: {text}")

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .adapters import AdapterSpec, AdapterState, check_targets, init_adapter, trainable_parameters
+from .adapters import AdapterSpec, AdapterState, check_adapter, init_adapter, trainable_parameters
 from .backend.session import ModelSession
 from .evalkit import answers_equivalent, extract_boxed, majority_vote
 from .optim import AdamW
@@ -98,33 +98,32 @@ def sft_update(
     """One optimizer update over a micro-batch of (tokens, mask) examples.
 
     ``loss`` is ``"nll"`` (masked NLL) or ``"entropy"`` (mean next-token
-    entropy; the mask is unused). Returns the mean loss of the batch;
-    gradients are averaged, applied to adapter factors only, and the
-    adapter's step counter advances by one.
+    entropy; the mask is unused). The examples go to the backend as one
+    packed call. Returns the mean loss of the batch; gradients are averaged,
+    applied to adapter factors only (``optimizer`` steps
+    ``trainable_parameters(adapter)``), and the adapter's step counter
+    advances by one.
     """
     if not examples:
         raise ValueError("empty batch")
     if loss not in ("nll", "entropy"):
         raise ValueError(f"unknown loss {loss!r}; expected 'nll' or 'entropy'")
-    total = 0.0
-    summed: dict[str, np.ndarray] = {}
-    for tokens, mask in examples:
-        if loss == "entropy":
-            value, grads = backend.entropy_with_grads(tokens, adapter, dropout_rng=dropout_rng)
-        else:
-            value, grads = backend.masked_nll_with_grads(
-                tokens, mask, adapter, dropout_rng=dropout_rng
-            )
-        total += value
-        for name, (ga, gb) in grads.items():
-            if f"{name}.A" in summed:
-                summed[f"{name}.A"] += ga
-                summed[f"{name}.B"] += gb
-            else:
-                summed[f"{name}.A"] = ga.copy()
-                summed[f"{name}.B"] = gb.copy()
+    tokens = [t for ids, _ in examples for t in ids]
+    lengths = [len(ids) for ids, _ in examples]
+    if loss == "entropy":
+        total, grads = backend.entropy_with_grads(
+            tokens, adapter, dropout_rng=dropout_rng, lengths=lengths
+        )
+    else:
+        mask = [m for _, ms in examples for m in ms]
+        total, grads = backend.masked_nll_with_grads(
+            tokens, mask, adapter, dropout_rng=dropout_rng, lengths=lengths
+        )
     scale = 1.0 / len(examples)
-    optimizer.step({k: v * scale for k, v in summed.items()})
+    # factor order, as trainable_parameters lays them out; the backend's
+    # dict comes in backward order
+    summed = np.concatenate([g.ravel() for name in adapter.factors for g in grads[name]])
+    optimizer.step({"factors": summed * scale})
     adapter.step_count += 1
     return total * scale
 
@@ -195,12 +194,12 @@ def generate_answer(
 ) -> tuple[str, int]:
     """Greedy answer text plus the exact number of tokens generated.
 
-    ``adapter`` may come from a file, so its module names are checked against
-    the backend's before any decoding.
+    ``adapter`` may come from a file, so its module names, factor shapes and
+    dtype are checked against the backend's before any decoding.
     """
     backend = session.backend
     if adapter is not None:
-        check_targets(adapter.factors, backend.adaptable_modules())
+        check_adapter(adapter, backend.adaptable_modules())
     prompt_ids = _answer_prompt_ids(session, query)
     out = backend.generate(prompt_ids, max_new_tokens, 0.0, adapter=adapter, seed=session.seed)
     return backend.detokenize(out), len(out)

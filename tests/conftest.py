@@ -19,7 +19,8 @@ SMALL_CFG = RefConfig(n_layer=2, d_model=32, n_head=4, max_len=256)
 class StubBackend:
     """Scriptable backend: char-level tokenizer, completions from a callable
     ``fn(prompt_text, call_index) -> text``. Gradient entry points report a
-    constant loss with zero gradients so optimization paths run unchanged."""
+    loss of 1.0 per example with zero gradients so optimization paths run
+    unchanged."""
 
     name = "stub"
 
@@ -51,12 +52,12 @@ class StubBackend:
     def masked_nll(self, tokens, loss_mask, adapter=None):
         return 1.0
 
-    def masked_nll_with_grads(self, tokens, loss_mask, adapter, dropout_rng=None):
+    def masked_nll_with_grads(self, tokens, loss_mask, adapter, dropout_rng=None, lengths=None):
         zeros = {
             name: (np.zeros_like(a), np.zeros_like(b))
             for name, (a, b) in adapter.factors.items()
         }
-        return 1.0, zeros
+        return (1 if lengths is None else len(lengths)) * 1.0, zeros
 
 
 @pytest.fixture(scope="session")

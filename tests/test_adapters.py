@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,6 +142,28 @@ class TestAttach:
         with pytest.raises(ValueError, match="not.a.module"):
             generate_answer(session, Query(id="q", text="abc"), state, 4)
 
+    def test_wrong_width_rejected(self, fresh_backend):
+        # factors built for a d=16 model, given to the d=32 one
+        mods = [AdaptableModuleInfo(m.name, 16, 16) for m in fresh_backend.adaptable_modules()]
+        state = init_adapter(spec_for_all_modules(mods, rank=4), mods)
+        session = ModelSession(backend=fresh_backend)
+        want = (
+            "adapter factors of layers.0.attn.q do not fit the module: expected A (4, 32) and "
+            "B (32, 4) of float32, got A (4, 16) of float32 and B (16, 4) of float32"
+        )
+        with pytest.raises(ValueError, match=re.escape(want)):
+            generate_answer(session, Query(id="q", text="abc"), state, 4)
+
+    def test_wrong_dtype_rejected(self, fresh_backend):
+        mods = [
+            AdaptableModuleInfo(m.name, m.d_in, m.d_out, "float64")
+            for m in fresh_backend.adaptable_modules()
+        ]
+        state = init_adapter(spec_for_all_modules(mods, rank=4), mods)
+        session = ModelSession(backend=fresh_backend)
+        with pytest.raises(ValueError, match=re.escape("of float32, got A (4, 32) of float64")):
+            generate_answer(session, Query(id="q", text="abc"), state, 4)
+
     def test_perturbed_b_changes_logits(self, random_backend):
         mods = random_backend.adaptable_modules()
         state = init_adapter(spec_for_all_modules(mods, rank=2, init_seed=3), mods)
@@ -198,18 +221,37 @@ class TestTrainableParameters:
     def test_view_excludes_base(self, fresh_backend):
         mods = fresh_backend.adaptable_modules()
         state = init_adapter(spec_for_all_modules(mods, rank=2), mods)
-        names = set(trainable_parameters(state))
-        assert all(name.endswith((".A", ".B")) for name in names)
-        assert len(names) == 2 * len(mods)
+        params = trainable_parameters(state)
+        assert list(params) == ["factors"]
+        flat = params["factors"]
+        assert flat.ndim == 1 and flat.size == num_trainable(state) == len(mods) * 2 * (32 + 32)
+        assert not any(np.shares_memory(flat, w) for w in fresh_backend.params.values())
 
     def test_views_alias_live_factors(self, fresh_backend):
         mods = fresh_backend.adaptable_modules()
         state = init_adapter(spec_for_all_modules(mods, rank=2), mods)
-        view = trainable_parameters(state)
-        key = next(iter(view))
-        view[key][0, 0] = 7.0
-        module, factor = key.rsplit(".", 1)
-        assert state.factors[module][0 if factor == "A" else 1][0, 0] == 7.0
+        flat = trainable_parameters(state)["factors"]
+        flat[:] = np.arange(flat.size)
+        # a write through the flat tensor reaches every factor, A then B of
+        # each module in factor order
+        laid = np.concatenate([g.ravel() for pair in state.factors.values() for g in pair])
+        assert np.array_equal(laid, np.arange(flat.size))
+
+    def test_loaded_factors_share_one_buffer(self, tmp_path, fresh_backend):
+        mods = fresh_backend.adaptable_modules()
+        state = init_adapter(spec_for_all_modules(mods, rank=2, init_seed=4), mods)
+        save_adapter(state, tmp_path / "a.qsta")
+        loaded = load_adapter(tmp_path / "a.qsta")
+        flat = trainable_parameters(loaded)["factors"]
+        assert np.array_equal(flat, trainable_parameters(state)["factors"])
+        flat[0] = 9.0
+        assert next(iter(loaded.factors.values()))[0][0, 0] == 9.0
+
+    def test_hand_built_factors_have_no_flat_tensor(self):
+        a, b = np.zeros((1, 4)), np.zeros((4, 1))
+        state = AdapterState(spec=AdapterSpec(rank=1, target_modules=("m0",)), factors={"m0": (a, b)})
+        with pytest.raises(ValueError, match="one buffer"):
+            trainable_parameters(state)
 
 
 class TestAdapterFile:
@@ -251,6 +293,22 @@ class TestAdapterFile:
         save_adapter(init_adapter(spec_for_all_modules(mods, rank=2), mods), path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing bytes"):
+            load_adapter(path)
+
+    def test_repeated_target_rejected(self, tmp_path):
+        from quest.backend.serialize import read_header, write_header
+
+        mods = [AdaptableModuleInfo("m0", 4, 4), AdaptableModuleInfo("m1", 4, 4)]
+        path = tmp_path / "adapter.qsta"
+        save_adapter(init_adapter(spec_for_all_modules(mods, rank=2), mods), path)
+        with open(path, "rb") as f:
+            meta = read_header(f, b"QSTA")
+            payload = f.read()
+        meta["targets"][1]["name"] = "m0"
+        with open(path, "wb") as f:
+            write_header(f, b"QSTA", meta)
+            f.write(payload)
+        with pytest.raises(ValueError, match="lists a target module twice"):
             load_adapter(path)
 
     def test_header_without_dtype_reads_float32(self, tmp_path, random_backend):

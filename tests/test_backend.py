@@ -386,6 +386,102 @@ def test_cached_chunks_match_full_forward(random_backend, dtype, tol, with_adapt
     np.testing.assert_allclose(cached, full, rtol=0, atol=tol)
 
 
+def _packed_setup(random_backend, dtype):
+    """``random_backend``'s weights in ``dtype`` with room for examples past the
+    row cap, and an adapter with every factor non-zero and dropout on."""
+    cfg = replace(random_backend.config, dtype=dtype, max_len=2 * reference._STACK_TOKENS)
+    params = dict(random_backend.params)
+    params["wpe"] = np.random.default_rng(2).normal(0, 0.25, (cfg.max_len, cfg.d_model))
+    backend = ReferenceBackend(cfg, params)
+    mods = backend.adaptable_modules()
+    adapter = init_adapter(spec_for_all_modules(mods, rank=2, alpha=4.0, dropout=0.05, init_seed=4), mods)
+    rng = np.random.default_rng(5)
+    for _, b in adapter.factors.values():
+        b[:] = rng.normal(0, 0.1, b.shape)
+    return backend, adapter
+
+
+def _examples(backend, lengths, seed=9):
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in lengths:
+        mask = [0] + rng.integers(0, 2, size=n - 1).tolist()
+        mask[-1] = 1
+        out.append((rng.integers(1, backend.vocab_size, size=n).tolist(), mask))
+    return out
+
+
+def _grads_call(backend, loss, tokens, mask, adapter, rng, lengths=None):
+    if loss == "entropy":
+        return backend.entropy_with_grads(tokens, adapter, dropout_rng=rng, lengths=lengths)
+    return backend.masked_nll_with_grads(tokens, mask, adapter, dropout_rng=rng, lengths=lengths)
+
+
+class TestPackedGrads:
+    """One packed call over a micro-batch gives the bits of one call per
+    example, summed in example order, and leaves the dropout rng where those
+    calls would."""
+
+    CAP = reference._STACK_TOKENS
+    LENGTHS = {
+        "equal": [22, 22, 22, 22],
+        "mixed": [22, 23, 22, 23],
+        # the first length splits into two stacks, the last runs one row alone
+        "past-cap": [CAP // 3 + 1] * 3 + [CAP + 3],
+    }
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("loss", ["nll", "entropy"])
+    @pytest.mark.parametrize("case", list(LENGTHS))
+    def test_packed_equals_one_call_per_example(self, random_backend, dtype, loss, case):
+        backend, adapter = _packed_setup(random_backend, dtype)
+        examples = _examples(backend, self.LENGTHS[case])
+        tokens = [t for ids, _ in examples for t in ids]
+        mask = [m for _, ms in examples for m in ms]
+        packed_rng, alone_rng = np.random.default_rng(3), np.random.default_rng(3)
+        value, grads = _grads_call(
+            backend, loss, tokens, mask, adapter, packed_rng, [len(ids) for ids, _ in examples]
+        )
+        total, summed = 0.0, {}
+        for ids, ms in examples:
+            v, g = _grads_call(backend, loss, ids, ms, adapter, alone_rng)
+            total += v
+            for name, (ga, gb) in g.items():
+                if name in summed:
+                    summed[name][0] += ga
+                    summed[name][1] += gb
+                else:
+                    summed[name] = [ga.copy(), gb.copy()]
+        assert value == total
+        assert list(grads) == list(summed)
+        for name, (ga, gb) in grads.items():
+            assert ga.dtype == gb.dtype == np.dtype(dtype)
+            assert np.array_equal(ga, summed[name][0]) and np.array_equal(gb, summed[name][1])
+        assert packed_rng.random() == alone_rng.random()
+        # dropout took part: without it the gradients differ
+        _, plain = _grads_call(backend, loss, examples[0][0], examples[0][1], adapter, None)
+        _, dropped = _grads_call(
+            backend, loss, examples[0][0], examples[0][1], adapter, np.random.default_rng(3)
+        )
+        assert any(not np.array_equal(plain[n][0], dropped[n][0]) for n in plain)
+
+    def test_lengths_must_cover_the_tokens(self, random_backend):
+        backend, adapter = _packed_setup(random_backend, "float64")
+        (ids, mask), = _examples(backend, [6])
+        with pytest.raises(ValueError, match="sum to 5, but 6 tokens"):
+            backend.masked_nll_with_grads(ids, mask, adapter, lengths=[2, 3])
+        with pytest.raises(ValueError, match="must be positive"):
+            backend.entropy_with_grads(ids, adapter, lengths=[6, 0])
+
+    def test_every_example_mask_checked(self, random_backend):
+        backend, adapter = _packed_setup(random_backend, "float64")
+        (a, ma), (b, mb) = _examples(backend, [4, 5])
+        with pytest.raises(ValueError, match="position 0"):
+            backend.masked_nll_with_grads(a + b, ma + [1] + mb[1:], adapter, lengths=[4, 5])
+        with pytest.raises(ValueError, match="no positions"):
+            backend.masked_nll_with_grads(a + b, ma + [0] * 5, adapter, lengths=[4, 5])
+
+
 class TestAdaptableModules:
     def test_count_two_layers(self, fresh_backend):
         mods = fresh_backend.adaptable_modules()

@@ -57,11 +57,13 @@ class HybridPatternBackend:
     def masked_nll(self, tokens, loss_mask, adapter=None):
         return self._ref.masked_nll(tokens, loss_mask, adapter=adapter)
 
-    def masked_nll_with_grads(self, tokens, loss_mask, adapter, dropout_rng=None):
-        return self._ref.masked_nll_with_grads(tokens, loss_mask, adapter, dropout_rng=dropout_rng)
+    def masked_nll_with_grads(self, tokens, loss_mask, adapter, dropout_rng=None, lengths=None):
+        return self._ref.masked_nll_with_grads(
+            tokens, loss_mask, adapter, dropout_rng=dropout_rng, lengths=lengths
+        )
 
-    def entropy_with_grads(self, tokens, adapter, dropout_rng=None):
-        return self._ref.entropy_with_grads(tokens, adapter, dropout_rng=dropout_rng)
+    def entropy_with_grads(self, tokens, adapter, dropout_rng=None, lengths=None):
+        return self._ref.entropy_with_grads(tokens, adapter, dropout_rng=dropout_rng, lengths=lengths)
 
     def mean_entropy(self, tokens, adapter=None):
         return self._ref.mean_entropy(tokens, adapter=adapter)
@@ -569,8 +571,33 @@ class TestCommands:
         )
         assert code == 1
         assert capsys.readouterr().err == "error: unknown target modules: layers.9.attn.q\n"
-        assert not (tmp_path / "ans" / "it0" / "answer.txt").exists()
+        assert not (tmp_path / "ans").exists()  # neither config.json nor answer.txt
 
+    def test_answer_rejects_adapter_of_wrong_shape(self, tmp_path, hybrid_name, bench_path, capsys):
+        # the module names exist, but the factors were built for a d=32 model
+        mods = [AdaptableModuleInfo("layers.0.attn.q", 32, 32)]
+        path = tmp_path / "narrow.qsta"
+        save_adapter(init_adapter(spec_for_all_modules(mods, rank=2), mods), path)
+        code = run_command(
+            ["answer", "--backend", hybrid_name, "--benchmark", str(bench_path),
+             "--item-id", "it0", "--adapter", str(path), "--out", str(tmp_path / "ans")] + COMMON
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: adapter factors of layers.0.attn.q do not fit the module: expected A (2, 64) "
+            "and B (64, 2) of float32, got A (2, 32) of float32 and B (32, 2) of float32\n"
+        )
+        assert not (tmp_path / "ans").exists()
+
+
+    def test_answer_rejects_missing_adapter_file(self, tmp_path, hybrid_name, bench_path, capsys):
+        code = run_command(
+            ["answer", "--backend", hybrid_name, "--benchmark", str(bench_path), "--item-id", "it0",
+             "--adapter", str(tmp_path / "absent.qsta"), "--out", str(tmp_path / "ans")] + COMMON
+        )
+        assert code == 1
+        assert "absent.qsta" in capsys.readouterr().err
+        assert not (tmp_path / "ans").exists()
 
 def test_module_entry_point_runs():
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,15 +93,99 @@ class TestSftUpdate:
 
     def test_step_counter_and_a_factor_move(self, fresh_backend):
         state, opt, example = self._setup(fresh_backend)
-        keep_a = {k: v.copy() for k, v in trainable_parameters(state).items() if k.endswith(".A")}
+        keep_a = {name: a.copy() for name, (a, _) in state.factors.items()}
         sft_update(fresh_backend, state, [example], opt)
         assert state.step_count == 1
-        moved = any(
-            not np.array_equal(arr, keep_a[key])
-            for key, arr in trainable_parameters(state).items()
-            if key.endswith(".A")
-        )
+        # the optimizer steps the flat tensor; the factors are views of it
+        moved = any(not np.array_equal(a, keep_a[name]) for name, (a, _) in state.factors.items())
         assert moved  # weight decay moves A even while its gradient is still zero
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("loss", ["nll", "entropy"])
+def test_sft_update_matches_per_example_loop(random_backend, dtype, loss):
+    """20 packed updates leave the adapter bytes and losses that one call per
+    example, summed in order, and AdamW over each factor separately give."""
+    backend = ReferenceBackend(replace(random_backend.config, dtype=dtype), random_backend.params)
+    mods = backend.adaptable_modules()
+    spec = spec_for_all_modules(mods, rank=2, alpha=4.0, dropout=0.05, init_seed=3)
+    rng = np.random.default_rng(4)
+    examples = []
+    for n in (22, 23, 22, 23, 9, 50):
+        ids = rng.integers(1, backend.vocab_size, size=n).tolist()
+        examples.append((ids, [0] + [1] * (n - 1)))
+    packed, alone = init_adapter(spec, mods), init_adapter(spec, mods)
+    packed_opt = AdamW(trainable_parameters(packed), lr=3e-2, weight_decay=0.01)
+    tensors = {f"{name}.{k}": pair[i] for name, pair in alone.factors.items() for i, k in enumerate("AB")}
+    alone_opt = AdamW(tensors, lr=3e-2, weight_decay=0.01)
+    packed_rng, alone_rng = np.random.default_rng(6), np.random.default_rng(6)
+    for step in range(20):
+        batch = [examples[(4 * step + j) % len(examples)] for j in range(4)]
+        value = sft_update(backend, packed, batch, packed_opt, dropout_rng=packed_rng, loss=loss)
+        total, summed = 0.0, {}
+        for ids, mask in batch:
+            if loss == "entropy":
+                v, grads = backend.entropy_with_grads(ids, alone, dropout_rng=alone_rng)
+            else:
+                v, grads = backend.masked_nll_with_grads(ids, mask, alone, dropout_rng=alone_rng)
+            total += v
+            for name, pair in grads.items():
+                for k, g in zip("AB", pair):
+                    key = f"{name}.{k}"
+                    summed[key] = summed[key] + g if key in summed else g.copy()
+        alone_opt.step({key: g * (1.0 / len(batch)) for key, g in summed.items()})
+        alone.step_count += 1
+        assert value == total * (1.0 / len(batch))
+    laid = b"".join(g.tobytes() for pair in alone.factors.values() for g in pair)
+    assert trainable_parameters(packed)["factors"].tobytes() == laid
+    assert packed.step_count == alone.step_count == 20
+    assert not np.array_equal(packed.factors[mods[0].name][1], 0)
+
+
+# Recorded with one forward and backward per example and AdamW over each
+# factor, before training was packed: the loss of each of 6 float32 updates
+# and a sha256 of the adapter's factor bytes, A then B, in factor order.
+SFT_PINS = {
+    "nll": (
+        [2.477054544214406, 2.666693667002649, 2.409720459093615,
+         2.142558045921929, 2.2723575429578964, 2.149017323846836],
+        "687213b42204c47d2c5bc46e725e65953210667a6285a19def873cf121cdc388",
+    ),
+    "entropy": (
+        [1.9471986463833182, 1.8207732696869705, 1.6663498692614063,
+         1.5607804945361041, 1.403076065837662, 1.2731350533344339],
+        "b58505b34d833f7ab314b5fc7453318cc8fda1f85a5a72ef1ad5f20e76521026",
+    ),
+}
+
+
+@pytest.mark.parametrize("loss", list(SFT_PINS))
+def test_sft_update_matches_pinned_bits(random_backend, loss):
+    """float32 updates with dropout over mixed lengths, so some lengths stack
+    and some run alone, keep the exact losses and adapter bytes of the
+    one-example-per-call trainer."""
+    backend = ReferenceBackend(replace(random_backend.config, dtype="float32"), random_backend.params)
+    mods = backend.adaptable_modules()
+    state = init_adapter(spec_for_all_modules(mods, rank=2, alpha=4.0, dropout=0.05, init_seed=3), mods)
+    opt = AdamW(trainable_parameters(state), lr=3e-2, weight_decay=0.01)
+    rng = np.random.default_rng(4)
+    examples = []
+    for n in (22, 23, 22, 23, 9, 50):
+        ids = rng.integers(1, backend.vocab_size, size=n).tolist()
+        examples.append((ids, [0] + [1] * (n - 1)))
+    dropout_rng = np.random.default_rng(6)
+    losses = []
+    for step in range(6):
+        batch = [examples[(4 * step + j) % len(examples)] for j in range(4)]
+        losses.append(sft_update(backend, state, batch, opt, dropout_rng=dropout_rng, loss=loss))
+    digest = hashlib.sha256()
+    for pair in state.factors.values():
+        for g in pair:
+            assert g.dtype == np.float32
+            digest.update(g.tobytes())
+    want_losses, want_digest = SFT_PINS[loss]
+    assert losses == want_losses
+    assert digest.hexdigest() == want_digest
 
 
 class TestAdapt:
