@@ -10,8 +10,9 @@ behind them.
 
 Weight convention: every linear is ``out = x @ W.T`` with ``W`` of shape
 (d_out, d_in). An adapter passed to a call adds ``scaling * (x @ A.T) @ B.T``
-on the q/k/v/o projections it targets; the branch input is dropped out only
-when a training rng is supplied.
+on the q/k/v/o projections it targets. The branch input is dropped out only
+where ``_RefCore.forward`` is given keep masks; the gradient calls draw them
+from a training rng.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import hashlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -41,7 +43,8 @@ _RMS_EPS = 1e-5
 # objects: about 2.3 MB in all at max_len 256.
 _MEMO_ENTRIES = 4096
 
-# Tokens one training forward and backward stack, as rows of equal length T:
+# Tokens one training forward and backward stack: a run of consecutive
+# examples of one length T is cut into stacks of at most
 # max(1, _STACK_TOKENS // T) rows. Short examples stack (the 22-token
 # micro-batches of bench/'s hidden_rule, 4 rows); long ones run one row at a
 # time. Measured end to end with bench/run.py on self_generated (~154-token
@@ -520,12 +523,6 @@ class ReferenceBackend:
         logits, _ = self._core.forward(tokens, adapter=adapter)
         return logits
 
-    def masked_nll(self, tokens: Sequence[int], loss_mask: Sequence[int], adapter: Any = None) -> float:
-        check_loss_mask(tokens, loss_mask)
-        logits, _ = self._core.forward([tokens], adapter=adapter)
-        losses, _ = _nll_and_dlogits(logits, np.asarray([tokens]), np.asarray([loss_mask], dtype=bool))
-        return losses[0]
-
     def masked_nll_with_grads(
         self,
         tokens: Sequence[int],
@@ -534,18 +531,13 @@ class ReferenceBackend:
         dropout_rng: Optional[np.random.Generator] = None,
         lengths: Optional[Sequence[int]] = None,
     ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
-        """Training-mode masked NLL and adapter-factor gradients of the
-        examples packed end to end in ``tokens`` and ``loss_mask``, one of
-        ``lengths[i]`` tokens each (None: one example). Returns the sum of
-        the examples' losses and of their gradients, each added in example
-        order."""
+        """Masked NLL and adapter-factor gradients of the examples packed
+        end to end in ``tokens`` and ``loss_mask``, one of ``lengths[i]``
+        tokens each (None: one example); ``dropout_rng`` switches on the
+        adapter's dropout. Returns the sum of the examples' losses and of
+        their gradients, each added in example order."""
         check_loss_mask(tokens, loss_mask)
         return self._grads(tokens, lengths, adapter, dropout_rng, loss_mask)
-
-    def mean_entropy(self, tokens: Sequence[int], adapter: Any = None) -> float:
-        logits, _ = self._core.forward([tokens], adapter=adapter)
-        values, _ = _entropy_and_dlogits(logits)
-        return values[0]
 
     def entropy_with_grads(
         self,
@@ -554,8 +546,8 @@ class ReferenceBackend:
         dropout_rng: Optional[np.random.Generator] = None,
         lengths: Optional[Sequence[int]] = None,
     ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
-        """Training-mode mean entropy and adapter-factor gradients; examples
-        are packed as for ``masked_nll_with_grads``, and so are the sums."""
+        """Mean entropy and adapter-factor gradients; examples are packed
+        as for ``masked_nll_with_grads``, and so are the sums."""
         return self._grads(tokens, lengths, adapter, dropout_rng, None)
 
     def _grads(
@@ -570,67 +562,57 @@ class ReferenceBackend:
         ``tokens``: masked NLL under ``loss_mask``, or mean entropy when it
         is None.
 
-        Examples of one length run stacked, at most ``_STACK_TOKENS // T``
-        rows to a forward and backward, and are never padded. Dropout draws
-        are taken before any forward, one (modules, T, d) draw per example in
-        example order, so they are the stream one call per example would
-        draw; only their keep masks are held, an eighth of the draws' bytes.
+        One pass over the examples in order: each run of consecutive
+        examples of one length T is a stack of at most
+        ``max(1, _STACK_TOKENS // T)`` rows, never padded, with one forward
+        and backward. A stack draws its dropout as one (rows, modules, T, d)
+        draw just before its forward, the stream one draw per example would
+        give, and adds its losses and row gradients to the sums in example
+        order.
         """
         lengths = [len(tokens)] if lengths is None else [int(n) for n in lengths]
         if not lengths or min(lengths) < 1:
             raise ValueError(f"example lengths must be positive, got {lengths}")
         if sum(lengths) != len(tokens):
             raise ValueError(f"example lengths sum to {sum(lengths)}, but {len(tokens)} tokens were given")
-        spans = list(zip(np.cumsum([0] + lengths[:-1]).tolist(), lengths))  # (start, T)
         if loss_mask is not None:
-            for lo, T in spans:
+            for lo, T in zip(np.cumsum([0] + lengths[:-1]).tolist(), lengths):
                 check_loss_mask(tokens[lo : lo + T], loss_mask[lo : lo + T])
             loss_mask = np.asarray(loss_mask, dtype=bool)
         ids = np.asarray(tokens, dtype=np.intp)
-        groups: dict[int, list[int]] = {}
-        for i, (_, T) in enumerate(spans):
-            groups.setdefault(T, []).append(i)
         factors, _, dropout = _adapter_view(adapter)
         n_mod = sum(m.name in factors for m in self.adaptable_modules())
-        keep: dict[int, np.ndarray] = {}
-        if dropout_rng is not None and dropout > 0.0 and n_mod:
-            d = self.config.d_model
-            keep = {T: np.empty((len(rows), n_mod, T, d), dtype=bool) for T, rows in groups.items()}
-            filled = dict.fromkeys(groups, 0)
-            for _, T in spans:
-                np.greater_equal(dropout_rng.random((n_mod, T, d)), dropout, out=keep[T][filled[T]])
-                filled[T] += 1
+        drop = dropout_rng is not None and dropout > 0.0 and n_mod > 0
 
-        losses: list[float] = [0.0] * len(spans)
-        stacks = []  # (example indices, their gradients stacked over rows)
-        for T, rows in groups.items():
-            cap = max(1, _STACK_TOKENS // T)
-            for first in range(0, len(rows), cap):
-                chunk = rows[first : first + cap]
-                index = np.array([spans[i][0] for i in chunk])[:, None] + np.arange(T)
-                batch = ids[index]
-                masks = keep[T][first : first + cap] if keep else None
-                logits, cache = self._core.forward(batch, adapter=adapter, keep=masks)
+        total = 0.0
+        summed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        lo = 0
+        for T, run in groupby(lengths):
+            n, cap = len(list(run)), max(1, _STACK_TOKENS // T)
+            for first in range(0, n, cap):
+                rows = min(cap, n - first)
+                span = slice(lo, lo + rows * T)
+                lo += rows * T
+                batch = ids[span].reshape(rows, T)
+                keep = None
+                if drop:
+                    keep = dropout_rng.random((rows, n_mod, T, self.config.d_model)) >= dropout
+                logits, cache = self._core.forward(batch, adapter=adapter, keep=keep)
                 if loss_mask is None:
                     values, dlogits = _entropy_and_dlogits(logits)
                 else:
-                    values, dlogits = _nll_and_dlogits(logits, batch, loss_mask[index])
-                stacks.append((chunk, self._core.backward(cache, dlogits, wrt="adapter")))
-                for row, i in enumerate(chunk):
-                    losses[i] = values[row]
-
-        at = {i: (grads, row) for chunk, grads in stacks for row, i in enumerate(chunk)}
-        summed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for i in range(len(spans)):
-            grads, row = at[i]
-            for name, (dA, dB) in grads.items():
-                if name in summed:
-                    ga, gb = summed[name]
-                    ga += dA[row]
-                    gb += dB[row]
-                else:
-                    summed[name] = (dA[row].copy(), dB[row].copy())
-        return sum(losses), summed
+                    values, dlogits = _nll_and_dlogits(logits, batch, loss_mask[span].reshape(rows, T))
+                grads = self._core.backward(cache, dlogits, wrt="adapter")
+                for row, value in enumerate(values):
+                    total += value
+                    for name, (dA, dB) in grads.items():
+                        if name in summed:
+                            ga, gb = summed[name]
+                            ga += dA[row]
+                            gb += dB[row]
+                        else:
+                            summed[name] = (dA[row].copy(), dB[row].copy())
+        return total, summed
 
     # -- generation ---------------------------------------------------------
 

@@ -35,17 +35,21 @@ class Backend(Protocol):
     ``factors`` (mapping module name -> (A, B) arrays), ``scaling`` and
     ``spec.dropout``.
 
-    Backends meant to be optimized at test time also offer the two gradient
+    Backends meant to be optimized at test time also offer the two loss
     entry points, ``masked_nll_with_grads(tokens, loss_mask, adapter,
     dropout_rng=None, lengths=None)`` and ``entropy_with_grads(tokens,
     adapter, dropout_rng=None, lengths=None)``. Each takes one micro-batch
     packed end to end: ``tokens`` (and ``loss_mask``) hold every example and
     ``lengths`` gives each example's length, summing to ``len(tokens)``;
     ``None`` means one example. Every example's mask must pass
-    ``check_loss_mask``. They return the sum of the per-example losses and
-    ``{module: (dA, dB)}`` with the sum of the per-example adapter
-    gradients, both added in example order. ``dropout_rng`` switches on the
-    adapter's dropout; the examples draw from it in example order.
+    ``check_loss_mask``. An example's masked NLL is the mean next-token NLL
+    over its mask-1 positions (target t predicted from prefix < t); its
+    entropy is the mean entropy of its next-token distributions. They
+    return the sum of the per-example losses and ``{module: (dA, dB)}``
+    with the sum of the per-example adapter gradients, both added in
+    example order. ``dropout_rng`` switches on the adapter's dropout; the
+    examples draw from it in example order. Without it the loss is the
+    eval-mode loss, and ``adapter=None`` gives the base model's.
 
     A backend may also offer ``prefetch(requests, max_new_tokens,
     temperature)``: it decodes adapter-free ``(prompt, seed)`` requests
@@ -85,11 +89,6 @@ class Backend(Protocol):
         ...
 
     def adaptable_modules(self) -> list[AdaptableModuleInfo]: ...
-
-    def masked_nll(self, tokens: Sequence[int], loss_mask: Sequence[int], adapter: Any = None) -> float:
-        """Mean next-token NLL over mask-1 positions (target t predicted from
-        prefix < t); rejects masks that fail ``check_loss_mask``."""
-        ...
 
 
 @dataclass(frozen=True)

@@ -351,6 +351,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.method is not None:
+        raise ValueError("compare takes no --method; name its methods with --methods")
     cfg = _config_from_args(args)
     names = (args.methods or "base,quest,self_consistency").split(",")
     methods = [engine.method_named(name.strip()) for name in names]

@@ -76,11 +76,6 @@ class MethodResult:
     answer_text: str
     extracted: Optional[str]
     telemetry: AdaptTelemetry
-    method_label: str
-
-    def __post_init__(self):
-        if self.method_label not in METHODS:
-            raise ValueError(f"unknown method label {self.method_label!r}")
 
 
 def _answer_prompt_ids(session: ModelSession, query: Query) -> list[int]:
@@ -212,7 +207,7 @@ def base_answer(
     t0 = time.perf_counter()
     text, n_tokens = generate_answer(session, query, None, max_new_tokens)
     telemetry = AdaptTelemetry(generated_tokens=n_tokens, wall_seconds=time.perf_counter() - t0)
-    return MethodResult(text, extract_boxed(text), telemetry, "base")
+    return MethodResult(text, extract_boxed(text), telemetry)
 
 
 def _quest_pipeline(
@@ -221,7 +216,6 @@ def _quest_pipeline(
     gen_cfg: GenConfig,
     spec: AdapterSpec,
     opt_cfg: OptConfig,
-    label: str,
     conditioned: bool,
     generator_session: Optional[ModelSession],
     max_new_tokens: int,
@@ -244,7 +238,7 @@ def _quest_pipeline(
         text, n_answer = generate_answer(session, query, adapter, max_new_tokens)
         telemetry.generated_tokens = gen.generated_tokens + n_answer
     telemetry.wall_seconds = time.perf_counter() - t0
-    return MethodResult(text, extract_boxed(text), telemetry, label)
+    return MethodResult(text, extract_boxed(text), telemetry)
 
 
 def quest(
@@ -263,7 +257,7 @@ def quest(
     its own generator); tests substitute a scripted generator here.
     """
     return _quest_pipeline(
-        session, query, gen_cfg, spec, opt_cfg, "quest", True, generator_session, max_new_tokens
+        session, query, gen_cfg, spec, opt_cfg, True, generator_session, max_new_tokens
     )
 
 
@@ -279,15 +273,7 @@ def quest_no_query(
 ) -> MethodResult:
     """Ablation: same pipeline trained on query-independent pairs."""
     return _quest_pipeline(
-        session,
-        query,
-        gen_cfg,
-        spec,
-        opt_cfg,
-        "quest_no_query",
-        False,
-        generator_session,
-        max_new_tokens,
+        session, query, gen_cfg, spec, opt_cfg, False, generator_session, max_new_tokens
     )
 
 
@@ -313,7 +299,7 @@ def quest_no_lora(
         pairs_used=len(gen.pairs),
         wall_seconds=time.perf_counter() - t0,
     )
-    return MethodResult(text, extract_boxed(text), telemetry, "quest_no_lora")
+    return MethodResult(text, extract_boxed(text), telemetry)
 
 
 def _objective_pipeline(
@@ -321,7 +307,6 @@ def _objective_pipeline(
     query: Query,
     spec: AdapterSpec,
     opt_cfg: OptConfig,
-    label: str,
     loss: str,
     max_new_tokens: int,
 ) -> MethodResult:
@@ -336,7 +321,7 @@ def _objective_pipeline(
     text, n_answer = generate_answer(session, query, adapter, max_new_tokens)
     telemetry.generated_tokens += n_answer
     telemetry.wall_seconds = time.perf_counter() - t0
-    return MethodResult(text, extract_boxed(text), telemetry, label)
+    return MethodResult(text, extract_boxed(text), telemetry)
 
 
 def tent(
@@ -349,7 +334,7 @@ def tent(
 ) -> MethodResult:
     """Entropy-minimization baseline over the query's next-token distributions,
     optimized through the same low-rank parameterization as the main method."""
-    return _objective_pipeline(session, query, spec, opt_cfg, "tent", "entropy", max_new_tokens)
+    return _objective_pipeline(session, query, spec, opt_cfg, "entropy", max_new_tokens)
 
 
 def tlm(
@@ -361,7 +346,7 @@ def tlm(
     max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
 ) -> MethodResult:
     """Input-perplexity-minimization baseline: NLL of the query text itself."""
-    return _objective_pipeline(session, query, spec, opt_cfg, "tlm", "nll", max_new_tokens)
+    return _objective_pipeline(session, query, spec, opt_cfg, "nll", max_new_tokens)
 
 
 def self_consistency(
@@ -399,7 +384,7 @@ def self_consistency(
                 raw = text
                 break
     telemetry = AdaptTelemetry(generated_tokens=total_tokens, wall_seconds=time.perf_counter() - t0)
-    return MethodResult(raw, winner, telemetry, "self_consistency")
+    return MethodResult(raw, winner, telemetry)
 
 
 def check_sampling(n_samples: int, temperature: float) -> None:

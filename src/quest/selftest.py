@@ -110,9 +110,9 @@ def check_gradient_fidelity(backend, n_coords: int, n_tokens: int) -> float:
         i, j = int(rng.integers(arr.shape[0])), int(rng.integers(arr.shape[1]))
         keep = arr[i, j]
         arr[i, j] = keep + h
-        hi = backend.masked_nll(ids, mask, adapter=adapter)
+        hi = backend.masked_nll_with_grads(ids, mask, adapter)[0]
         arr[i, j] = keep - h
-        lo = backend.masked_nll(ids, mask, adapter=adapter)
+        lo = backend.masked_nll_with_grads(ids, mask, adapter)[0]
         arr[i, j] = keep
         fd = (hi - lo) / (2 * h)
         rel = abs(fd - grad[i, j]) / max(abs(fd), 1e-6)

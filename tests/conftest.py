@@ -49,9 +49,6 @@ class StubBackend:
     def forward_logits(self, tokens, adapter=None):
         return np.zeros((len(tokens), self.vocab_size), dtype=np.float32)
 
-    def masked_nll(self, tokens, loss_mask, adapter=None):
-        return 1.0
-
     def masked_nll_with_grads(self, tokens, loss_mask, adapter, dropout_rng=None, lengths=None):
         zeros = {
             name: (np.zeros_like(a), np.zeros_like(b))

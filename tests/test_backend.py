@@ -465,6 +465,29 @@ class TestPackedGrads:
         )
         assert any(not np.array_equal(plain[n][0], dropped[n][0]) for n in plain)
 
+    @pytest.mark.parametrize(
+        "lengths, shapes",
+        [
+            ([22] * 4, [(4, 22)]),  # bench/'s hidden_rule micro-batch
+            ([10] * 4, [(4, 10)]),  # TENT and TLM cycling one short query
+            ([154] * 4, [(1, 154)] * 4),  # self_generated: each past the cap
+            ([22, 23, 22, 23], [(1, 22), (1, 23), (1, 22), (1, 23)]),
+            ([43, 43, 43, 131], [(2, 43), (1, 43), (1, 131)]),
+        ],
+        ids=["hidden-rule", "tent-tlm", "self-generated", "alternating", "split-run"],
+    )
+    def test_stack_plan(self, random_backend, forward_shapes, lengths, shapes):
+        """Runs of consecutive equal lengths stack up to the row cap; the bit
+        tests above would pass with one row per forward."""
+        backend, adapter = _packed_setup(random_backend, "float64")
+        examples = _examples(backend, lengths)
+        tokens = [t for ids, _ in examples for t in ids]
+        mask = [m for _, ms in examples for m in ms]
+        for loss in ("nll", "entropy"):
+            forward_shapes.clear()
+            _grads_call(backend, loss, tokens, mask, adapter, np.random.default_rng(3), lengths)
+            assert forward_shapes == shapes
+
     def test_lengths_must_cover_the_tokens(self, random_backend):
         backend, adapter = _packed_setup(random_backend, "float64")
         (ids, mask), = _examples(backend, [6])
@@ -500,7 +523,7 @@ class TestMaskedNll:
     def test_uniform_model(self):
         be = ReferenceBackend.fresh(RefConfig(charset="abc", d_model=16, n_head=2, max_len=16), seed=0)
         ids = be.tokenize("abca")
-        value = be.masked_nll(ids, [0, 1, 1, 1])
+        value = be.masked_nll_with_grads(ids, [0, 1, 1, 1], None)[0]
         assert value == pytest.approx(np.log(4), abs=1e-9)
 
     def test_matches_log_softmax_oracle(self, random_backend):
@@ -510,7 +533,7 @@ class TestMaskedNll:
             mask = [0] + rng.integers(0, 2, size=9).tolist()
             if not any(mask):
                 mask[-1] = 1
-            got = random_backend.masked_nll(ids, mask)
+            got = random_backend.masked_nll_with_grads(ids, mask, None)[0]
             logits = random_backend.forward_logits(ids).astype(np.float64)
             want = 0.0
             total = 0
@@ -524,19 +547,19 @@ class TestMaskedNll:
 
     def test_near_perfect_prediction_near_zero(self, ab_backend):
         ids = ab_backend.tokenize("ab" * 10)
-        assert ab_backend.masked_nll(ids, [0] + [1] * (len(ids) - 1)) < 0.05
+        assert ab_backend.masked_nll_with_grads(ids, [0] + [1] * (len(ids) - 1), None)[0] < 0.05
 
     def test_all_zero_mask_rejected(self, fresh_backend):
         with pytest.raises(ValueError, match="no positions"):
-            fresh_backend.masked_nll([1, 2], [0, 0])
+            fresh_backend.masked_nll_with_grads([1, 2], [0, 0], None)
 
     def test_position_zero_mask_rejected(self, fresh_backend):
         with pytest.raises(ValueError, match="position 0"):
-            fresh_backend.masked_nll([1, 2], [1, 1])
+            fresh_backend.masked_nll_with_grads([1, 2], [1, 1], None)
 
     def test_length_mismatch_rejected(self, fresh_backend):
         with pytest.raises(ValueError, match="length"):
-            fresh_backend.masked_nll([1, 2], [0, 1, 1])
+            fresh_backend.masked_nll_with_grads([1, 2], [0, 1, 1], None)
 
 
 class TestFrozenBase:
@@ -549,7 +572,7 @@ class TestFrozenBase:
         ids = fresh_backend.tokenize("abc def")
         fresh_backend.forward_logits(ids)
         fresh_backend.generate(ids, 4, 0.8, seed=1)
-        fresh_backend.masked_nll(ids, [0] + [1] * (len(ids) - 1))
+        fresh_backend.masked_nll_with_grads(ids, [0] + [1] * (len(ids) - 1), None)
         assert fresh_backend.checksum() == before
 
     def test_constructor_copies_caller_arrays(self):

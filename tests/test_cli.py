@@ -54,9 +54,6 @@ class HybridPatternBackend:
     def forward_logits(self, tokens, adapter=None):
         return self._ref.forward_logits(tokens, adapter=adapter)
 
-    def masked_nll(self, tokens, loss_mask, adapter=None):
-        return self._ref.masked_nll(tokens, loss_mask, adapter=adapter)
-
     def masked_nll_with_grads(self, tokens, loss_mask, adapter, dropout_rng=None, lengths=None):
         return self._ref.masked_nll_with_grads(
             tokens, loss_mask, adapter, dropout_rng=dropout_rng, lengths=lengths
@@ -64,9 +61,6 @@ class HybridPatternBackend:
 
     def entropy_with_grads(self, tokens, adapter, dropout_rng=None, lengths=None):
         return self._ref.entropy_with_grads(tokens, adapter, dropout_rng=dropout_rng, lengths=lengths)
-
-    def mean_entropy(self, tokens, adapter=None):
-        return self._ref.mean_entropy(tokens, adapter=adapter)
 
 
 @pytest.fixture
@@ -394,6 +388,17 @@ class TestCommands:
         assert code == 1
         assert "unknown method 'bogus'" in capsys.readouterr().err
         assert evaluated == []
+        assert not (tmp_path / "x").exists()
+
+    def test_method_flag_rejected_before_run_dir(self, tmp_path, hybrid_name, bench_path, capsys):
+        code = run_command(
+            ["compare", "--method", "tent", "--backend", hybrid_name,
+             "--benchmark", str(bench_path), "--out", str(tmp_path / "x")] + COMMON
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: compare takes no --method; name its methods with --methods\n"
+        )
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(

@@ -8,8 +8,6 @@ from quest.adapters import init_adapter, spec_for_all_modules, trainable_paramet
 from quest.backend import ModelSession, RefConfig, ReferenceBackend
 from quest.backend.reference import init_params
 from quest.engine import (
-    AdaptTelemetry,
-    MethodResult,
     OptConfig,
     adapt,
     base_answer,
@@ -52,12 +50,6 @@ class TestOptConfig:
             OptConfig(steps=-1)
         with pytest.raises(ValueError):
             OptConfig(grad_accumulation=0)
-
-
-class TestMethodResult:
-    def test_label_validated(self):
-        with pytest.raises(ValueError, match="unknown method label"):
-            MethodResult("", None, AdaptTelemetry(), "not_a_method")
 
 
 class TestSftUpdate:
@@ -234,7 +226,7 @@ class TestAdapt:
         cfg = OptConfig(steps=1, lr=1e-4, grad_accumulation=len(pairs))
         _, telemetry = adapt(sess, pairs, spec, cfg)
         want = np.mean(
-            [backend.masked_nll(*make_training_example(p, backend)) for p in pairs]
+            [backend.masked_nll_with_grads(*make_training_example(p, backend), None)[0] for p in pairs]
         )
         assert telemetry.loss_trajectory[0] == pytest.approx(want, abs=1e-6)
 
@@ -262,7 +254,6 @@ class TestQuest:
         assert r1.telemetry.loss_trajectory == r2.telemetry.loss_trajectory
         assert r1.telemetry.generated_tokens == r2.telemetry.generated_tokens
         assert r1.telemetry.trained_tokens == r2.telemetry.trained_tokens
-        assert r1.method_label == "quest"
 
     def test_base_answer_unchanged_after_quest(self, pattern_world):
         sess = pattern_session(pattern_world)
@@ -291,7 +282,6 @@ class TestQuest:
             sess, q, GenConfig(n_pairs=2, max_parse_retries=0), spec, OptConfig(),
             generator_session=gen_sess, max_new_tokens=8,
         )
-        assert result.method_label == "quest"
         assert result.telemetry.pairs_used == 0
         assert result.answer_text == base_answer(sess, q, max_new_tokens=8).answer_text
 
@@ -305,7 +295,6 @@ class TestQuest:
             sess, q, GenConfig(n_pairs=2, max_new_tokens=256), spec, OptConfig(steps=1),
             generator_session=gen_sess, max_new_tokens=4,
         )
-        assert result.method_label == "quest_no_query"
         assert result.telemetry.pairs_used == 2
 
 
@@ -313,12 +302,12 @@ class TestTent:
     def test_uniform_entropy_value(self):
         be = ReferenceBackend.fresh(RefConfig(charset="abc", d_model=16, n_head=2, max_len=16), seed=0)
         ids = be.tokenize("abcab")
-        assert be.mean_entropy(ids) == pytest.approx(np.log(4), abs=1e-12)
+        assert be.entropy_with_grads(ids, None)[0] == pytest.approx(np.log(4), abs=1e-12)
 
     def test_entropy_matches_independent_oracle(self, random_backend):
         rng = np.random.default_rng(5)
         ids = rng.integers(1, random_backend.vocab_size, size=12).tolist()
-        got = random_backend.mean_entropy(ids)
+        got = random_backend.entropy_with_grads(ids, None)[0]
         logits = random_backend.forward_logits(ids).astype(np.float64)
         want = 0.0
         for row in logits:
@@ -334,7 +323,7 @@ class TestTent:
         params["lm_head"] = rng.normal(0, 1.0, params["lm_head"].shape) * 1e5
         be = ReferenceBackend(cfg, params)
         ids = be.tokenize("abcd")
-        assert be.mean_entropy(ids) == 0.0
+        assert be.entropy_with_grads(ids, None)[0] == 0.0
         sess = ModelSession(backend=be, seed=0)
         spec = spec_for_all_modules(be.adaptable_modules(), rank=2, dropout=0.0, init_seed=7)
         fresh = init_adapter(spec, be.adaptable_modules())
@@ -343,12 +332,6 @@ class TestTent:
         assert result.telemetry.loss_trajectory == [0.0, 0.0, 0.0]
         # zero gradient + zero weight decay: the answer-time adapter was identity
         assert result.answer_text == base_answer(sess, Query(id="q", text="abcd", system_prompt=""), max_new_tokens=2).answer_text
-
-    def test_label(self, fresh_backend):
-        sess = ModelSession(backend=fresh_backend, seed=0)
-        spec = spec_for_all_modules(fresh_backend.adaptable_modules(), rank=2)
-        result = tent(sess, Query(id="q", text="ab", system_prompt=""), spec, OptConfig(steps=1), max_new_tokens=2)
-        assert result.method_label == "tent"
 
 
 class TestTlm:
@@ -360,7 +343,7 @@ class TestTlm:
         result = tlm(sess, Query(id="q", text=text, system_prompt=""), spec,
                      OptConfig(steps=1, lr=1e-4, grad_accumulation=2), max_new_tokens=2)
         ids = backend.tokenize(text)
-        want = backend.masked_nll(ids, [0] + [1] * (len(ids) - 1))
+        want = backend.masked_nll_with_grads(ids, [0] + [1] * (len(ids) - 1), None)[0]
         assert result.telemetry.loss_trajectory[0] == pytest.approx(want, abs=1e-9)
 
     def test_descent_on_query(self, pattern_world):
@@ -419,7 +402,6 @@ class TestSelfConsistency:
         sess = ModelSession(backend=backend, seed=12)
         q = Query(id="q", text="Q: d ->\nA:", system_prompt="")
         result = self_consistency(sess, q, 1, 0.8, max_new_tokens=12)
-        assert result.method_label == "self_consistency"
         assert result.telemetry.generated_tokens == len(backend.tokenize(result.answer_text))
 
     def test_majority_wins(self):
@@ -468,7 +450,6 @@ class TestQuestNoLora:
             sess, q, GenConfig(n_pairs=2, max_new_tokens=512), generator_session=gen_sess,
             max_new_tokens=64,
         )
-        assert result.method_label == "quest_no_lora"
         assert fresh_backend.checksum() == before
         final_prompt = prompts_seen[-1]
         order = [
