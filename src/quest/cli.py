@@ -167,46 +167,61 @@ def _budgets(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--backend", dest="backend")
-    p.add_argument("--checkpoint", help="reference checkpoint file (.qstb)")
-    p.add_argument("--benchmark", dest="benchmark")
-    p.add_argument("--mode", dest="answer_mode", choices=["boxed", "choice-letter"])
-    p.add_argument("--method", dest="method")
-    p.add_argument("--pairs", dest="generation.n_pairs", type=int)
-    p.add_argument("--gen-temperature", dest="generation.temperature", type=float)
-    p.add_argument("--gen-max-new", dest="generation.max_new_tokens", type=int)
-    p.add_argument("--retries", dest="generation.max_parse_retries", type=int)
-    p.add_argument("--rank", dest="rank", type=int)
-    p.add_argument("--alpha", dest="alpha", type=float)
-    p.add_argument("--dropout", dest="dropout", type=float)
-    p.add_argument("--steps", dest="optimization.steps", type=int)
-    p.add_argument("--lr", dest="optimization.lr", type=float)
-    p.add_argument("--accumulation", dest="optimization.grad_accumulation", type=int)
-    p.add_argument("--max-seq-len", dest="optimization.max_seq_len", type=int)
-    p.add_argument(
-        "--sc-samples", dest="sc_samples", type=_budgets, help="comma-separated, e.g. 1,2,4,8"
-    )
-    p.add_argument("--sc-temperature", dest="sc_temperature", type=float)
-    p.add_argument("--answer-max-new", dest="answer_max_new_tokens", type=int)
-    p.add_argument("--system-prompt", dest="system_prompt")
-    p.add_argument("--out", dest="out_dir")
-    p.add_argument("--seed", dest="seed", type=int)
+# (commands, flags): each flag is its option, the config key it sets (None if
+# none) and its argparse keywords. A command takes a flag only if it reads the
+# setting, so a flag it would ignore is an argparse error, not a config value.
+_FLAGS = (
+    (("generate", "adapt", "answer", "eval", "compare"), (
+        ("--config", None, {"help": "JSON config file"}),
+        ("--backend", "backend", {}),
+        ("--checkpoint", None, {"help": "reference checkpoint file (.qstb)"}),
+        ("--benchmark", "benchmark", {}),
+        ("--mode", "answer_mode", {"choices": ["boxed", "choice-letter"]}),
+        ("--out", "out_dir", {}),
+        ("--seed", "seed", {"type": int}),
+    )),
+    (("generate", "eval", "compare"), (
+        ("--pairs", "generation.n_pairs", {"type": int}),
+        ("--gen-temperature", "generation.temperature", {"type": float}),
+        ("--gen-max-new", "generation.max_new_tokens", {"type": int}),
+        ("--retries", "generation.max_parse_retries", {"type": int}),
+    )),
+    (("adapt", "eval", "compare"), (
+        ("--rank", "rank", {"type": int}),
+        ("--alpha", "alpha", {"type": float}),
+        ("--dropout", "dropout", {"type": float}),
+        ("--steps", "optimization.steps", {"type": int}),
+        ("--lr", "optimization.lr", {"type": float}),
+        ("--accumulation", "optimization.grad_accumulation", {"type": int}),
+        ("--max-seq-len", "optimization.max_seq_len", {"type": int}),
+    )),
+    # not generate: pair prompts are built from the query text alone
+    (("adapt", "answer", "eval", "compare"), (("--system-prompt", "system_prompt", {}),)),
+    (("answer", "eval", "compare"), (("--answer-max-new", "answer_max_new_tokens", {"type": int}),)),
+    (("eval", "compare"), (
+        ("--sc-samples", "sc_samples", {"type": _budgets, "help": "comma-separated, e.g. 1,2,4,8"}),
+        ("--sc-temperature", "sc_temperature", {"type": float}),
+    )),
+    (("generate", "adapt", "answer"), (("--item-id", None, {}),)),
+    (("answer",), (("--adapter", None, {}),)),
+    (("eval",), (("--method", "method", {}),)),
+    (("compare",), (("--methods", None, {}),)),
+)
+
+
+def _flags(command: str) -> list[tuple]:
+    return [flag for commands, flags in _FLAGS if command in commands for flag in flags]
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides: dict[str, Any] = {}
-    for key, value in vars(args).items():
-        if key in ("config", "command", "item_id", "adapter", "checkpoint", "methods", "fn") or value is None:
-            continue
-        if "." in key:
-            section, _, name = key.partition(".")
-            overrides.setdefault(section, {})[name] = value
-        else:
-            overrides[key] = value
+    for _, key, _ in _flags(args.command):
+        value = getattr(args, key) if key else None
+        if value is not None:
+            section, _, name = key.rpartition(".")
+            (overrides.setdefault(section, {}) if section else overrides)[name] = value
     cfg = load_config(args.config, overrides)
-    if getattr(args, "checkpoint", None):
+    if args.checkpoint:
         cfg = replace(cfg, backend_options={**cfg.backend_options, "checkpoint": args.checkpoint})
     return cfg
 
@@ -222,11 +237,13 @@ def _load_items(cfg: RunConfig, item_id: Optional[str] = None):
     return items
 
 
-def _check_adapter_settings(cfg: RunConfig, session) -> None:
-    """Build one adapter from the settings, so a rank or target module the
-    backend cannot take fails before the run directory is made."""
+def _adapter_spec(cfg: RunConfig, session) -> AdapterSpec:
+    """The run's adapter spec, built into one adapter so that a rank or target
+    module the backend cannot take fails before the run directory is made."""
     modules = session.backend.adaptable_modules()
-    init_adapter(cfg.adapter_spec(modules), modules)
+    spec = cfg.adapter_spec(modules)
+    init_adapter(spec, modules)
+    return spec
 
 
 def _echo_config(cfg: RunConfig) -> Path:
@@ -236,10 +253,20 @@ def _echo_config(cfg: RunConfig) -> Path:
     return out
 
 
-def _cmd_generate(args) -> int:
+def _stage(args):
+    """The config, session and items of one of quest's stages. A config that
+    names another method fails here, before the run directory is made."""
     cfg = _config_from_args(args)
+    if cfg.method != "quest":
+        raise ValueError(
+            f"{args.command} runs quest's stages only, but the config names method {cfg.method!r}"
+        )
     session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
-    items = _load_items(cfg, args.item_id)
+    return cfg, session, _load_items(cfg, args.item_id)
+
+
+def _cmd_generate(args) -> int:
+    cfg, session, items = _stage(args)
     out = _echo_config(cfg)
     for item in items:
         seeds = derive_item_seeds(cfg.seed, item.id)
@@ -253,10 +280,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
-    cfg = _config_from_args(args)
-    session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
-    items = _load_items(cfg, args.item_id)
-    _check_adapter_settings(cfg, session)
+    cfg, session, items = _stage(args)
+    spec = _adapter_spec(cfg, session)
     out = _echo_config(cfg)
     for item in items:
         qdir = engine.query_artifact_dir(out, item.id)
@@ -269,11 +294,11 @@ def _cmd_adapt(args) -> int:
             continue
         seeds = derive_item_seeds(cfg.seed, item.id)
         isess = session.clone(seed=seeds["session"])
-        spec = replace(
-            cfg.adapter_spec(session.backend.adaptable_modules()), init_seed=seeds["adapter"]
-        )
         opt = replace(cfg.optimization, seed=seeds["opt"])
-        adapter, telemetry = engine.adapt(isess, pairs, spec, opt, system_prompt=cfg.system_prompt)
+        adapter, telemetry = engine.adapt(
+            isess, pairs, replace(spec, init_seed=seeds["adapter"]), opt,
+            system_prompt=cfg.system_prompt,
+        )
         save_adapter(adapter, qdir / "adapter.qsta")
         engine.save_telemetry(telemetry, qdir / "telemetry.json")
         print(
@@ -286,9 +311,7 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_answer(args) -> int:
-    cfg = _config_from_args(args)
-    session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
-    items = _load_items(cfg, args.item_id)
+    cfg, session, items = _stage(args)
     given = None
     if args.adapter:
         # a file that cannot serve this backend fails before the run directory is made
@@ -309,16 +332,33 @@ def _cmd_answer(args) -> int:
     return 0
 
 
-def _run_eval(cfg: RunConfig, session, items, method: str, sc_samples: Optional[int]):
-    """One ``evaluate`` sweep; ``sc_samples`` is the budget of a sampled
-    method and is unused by the others."""
-    spec = cfg.adapter_spec(session.backend.adaptable_modules())
-    return evaluate(
-        session, items, method,
-        gen_cfg=cfg.generation, adapter_spec=spec, opt_cfg=cfg.optimization,
-        sc_samples=sc_samples, sc_temperature=cfg.sc_temperature,
-        max_new_tokens=cfg.answer_max_new_tokens, seed=cfg.seed, system_prompt=cfg.system_prompt,
-    )
+def _sweep(cfg: RunConfig, methods: list[str], report_dir: Path):
+    """``evaluate`` each method, a sampled one at every budget of ``sc_samples``,
+    and report all records in ``report_dir``; returns the summaries and paths."""
+    session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
+    items = _load_items(cfg)
+    spec = _adapter_spec(cfg, session)
+    _echo_config(cfg)
+    runs = [
+        (method, n)
+        for method in methods
+        for n in (cfg.sc_samples if engine.METHODS[method].sampled else (None,))
+    ]
+    # largest budget first: its samples decode in lock-step and the smaller
+    # budgets, which draw a prefix of them, read the memo
+    order = sorted(runs, key=lambda run: (methods.index(run[0]), -(run[1] or 0)))
+    results = {
+        (method, n): evaluate(
+            session, items, method, gen_cfg=cfg.generation, adapter_spec=spec,
+            opt_cfg=cfg.optimization, sc_samples=n, sc_temperature=cfg.sc_temperature,
+            max_new_tokens=cfg.answer_max_new_tokens, seed=cfg.seed,
+            system_prompt=cfg.system_prompt,
+        )
+        for method, n in order
+    }
+    records = [record for run in runs for record in results[run][0]]
+    paths = emit_report(records, report_dir, benchmark=Path(cfg.benchmark).stem)
+    return [results[run][1] for run in runs], paths
 
 
 def _cmd_eval(args) -> int:
@@ -336,13 +376,7 @@ def _cmd_eval(args) -> int:
             + ",".join(map(str, cfg.sc_samples))
             + "; pass --sc-samples N, or run compare for a sweep"
         )
-    session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
-    items = _load_items(cfg)
-    _check_adapter_settings(cfg, session)
-    out = _echo_config(cfg)
-    records, summary = _run_eval(cfg, session, items, cfg.method, cfg.sc_samples[0])
-    bench = Path(cfg.benchmark).stem
-    paths = emit_report(records, out / cfg.method, benchmark=bench)
+    (summary,), paths = _sweep(cfg, [cfg.method], Path(cfg.out_dir) / cfg.method)
     print(
         f"{cfg.method}: accuracy {summary['accuracy']:.4f}, "
         f"mean tokens {summary['mean_tokens']:.1f} -> {paths['results']}"
@@ -351,33 +385,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.method is not None:
-        raise ValueError("compare takes no --method; name its methods with --methods")
     cfg = _config_from_args(args)
     names = (args.methods or "base,quest,self_consistency").split(",")
     methods = [engine.method_named(name.strip()) for name in names]
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
         raise ValueError(f"--methods names {', '.join(repeated)} more than once")
-    session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
-    items = _load_items(cfg)
-    _check_adapter_settings(cfg, session)
-    out = _echo_config(cfg)
-    runs = [
-        (method, n)
-        for method in methods
-        for n in (cfg.sc_samples if engine.METHODS[method].sampled else (None,))
-    ]
-    # largest budget first: its samples decode in lock-step and the smaller
-    # budgets, which draw a prefix of them, read the memo
-    order = sorted(runs, key=lambda run: (methods.index(run[0]), -(run[1] or 0)))
-    results = {run: _run_eval(cfg, session, items, *run) for run in order}
-    all_records = []
-    for run in runs:
-        records, summary = results[run]
-        all_records.extend(records)
+    summaries, paths = _sweep(cfg, methods, Path(cfg.out_dir))
+    for summary in summaries:
         print(f"{summary['method']}: accuracy {summary['accuracy']:.4f}")
-    paths = emit_report(all_records, out, benchmark=Path(cfg.benchmark).stem)
     print(f"reports -> {paths['results']}, {paths['curve']}")
     return 0
 
@@ -388,29 +404,25 @@ def _cmd_selftest(args) -> int:
     return run_selftest()
 
 
-def run_command(argv: Sequence[str]) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quest", description="query-conditioned test-time self-training"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (
-        ("generate", _cmd_generate),
-        ("adapt", _cmd_adapt),
-        ("answer", _cmd_answer),
-        ("eval", _cmd_eval),
-        ("compare", _cmd_compare),
-        ("selftest", _cmd_selftest),
+        ("generate", _cmd_generate), ("adapt", _cmd_adapt), ("answer", _cmd_answer),
+        ("eval", _cmd_eval), ("compare", _cmd_compare), ("selftest", _cmd_selftest),
     ):
-        p = sub.add_parser(name)
-        _add_common_flags(p)
-        if name in ("generate", "adapt", "answer"):
-            p.add_argument("--item-id", dest="item_id", default=None)
-        if name == "answer":
-            p.add_argument("--adapter", dest="adapter", default=None)
-        if name == "compare":
-            p.add_argument("--methods", dest="methods", default=None)
+        # no abbreviations: `--pair 2` must not be read as `--pairs 2`
+        p = sub.add_parser(name, allow_abbrev=False)
+        for option, key, keywords in _flags(name):
+            p.add_argument(option, dest=key, **keywords)
         p.set_defaults(fn=fn)
-    args = parser.parse_args(list(argv))
+    return parser
+
+
+def run_command(argv: Sequence[str]) -> int:
+    args = _parser().parse_args(list(argv))
     try:
         return args.fn(args)
     except BrokenPipeError:

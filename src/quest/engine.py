@@ -60,6 +60,11 @@ class OptConfig:
             raise ValueError("lr must be >= 0")
         if self.grad_accumulation < 1:
             raise ValueError("grad_accumulation must be positive")
+        if self.max_seq_len < 2:
+            # a shorter example has no target token, and a negative one slices from the end
+            raise ValueError(f"max_seq_len must be >= 2, got {self.max_seq_len}")
+        if not all(0 <= beta < 1 for beta in self.betas):
+            raise ValueError(f"betas must each lie in [0, 1), got {self.betas}")
 
 
 @dataclass

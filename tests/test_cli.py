@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -90,6 +91,23 @@ COMMON = [
     "--steps", "30", "--lr", "3e-3", "--answer-max-new", "16",
     "--system-prompt", "", "--seed", "9",
 ]
+# the flags of COMMON that `answer` reads
+ANSWER = ["--answer-max-new", "16", "--system-prompt", "", "--seed", "9"]
+
+# the flag groups of the CLI, and the commands that take them
+RUN = ["--config", "--backend", "--checkpoint", "--benchmark", "--mode", "--out", "--seed"]
+GENERATION = ["--pairs", "--gen-temperature", "--gen-max-new", "--retries"]
+TRAINING = ["--rank", "--alpha", "--dropout", "--steps", "--lr", "--accumulation", "--max-seq-len"]
+SWEEP = RUN + GENERATION + TRAINING + ["--system-prompt", "--answer-max-new", "--sc-samples",
+                                       "--sc-temperature"]
+TAKES = {
+    "generate": RUN + GENERATION + ["--item-id"],
+    "adapt": RUN + TRAINING + ["--system-prompt", "--item-id"],
+    "answer": RUN + ["--system-prompt", "--answer-max-new", "--item-id", "--adapter"],
+    "eval": SWEEP + ["--method"],
+    "compare": SWEEP + ["--methods"],
+    "selftest": [],
+}
 
 
 class TestLoadConfig:
@@ -166,9 +184,10 @@ class TestLoadConfig:
             load_config(path)
 
     def test_lossless_values_accepted(self):
-        cfg = load_config(None, {"alpha": 8, "optimization": {"betas": [0.5, 1]}})
+        cfg = load_config(None, {"alpha": 8, "optimization": {"betas": [0, 0.5]}})
         assert cfg.alpha == 8.0 and isinstance(cfg.alpha, float)
-        assert cfg.optimization.betas == (0.5, 1.0)
+        assert cfg.optimization.betas == (0.0, 0.5)
+        assert all(isinstance(beta, float) for beta in cfg.optimization.betas)
 
     @pytest.mark.parametrize("budgets", [[], [0, 2]])
     def test_sc_budgets_must_be_positive(self, budgets):
@@ -224,18 +243,18 @@ class TestCommands:
         assert len(base_records) == len(quest_records) == 3
 
     def test_stage_replay_matches_fused_eval(self, tmp_path, hybrid_name, bench_path):
-        staged = tmp_path / "staged"
-        args = ["--backend", hybrid_name, "--benchmark", str(bench_path), "--out", str(staged)]
-        assert run_command(["generate"] + args + COMMON) == 0
-        assert run_command(["adapt"] + args + COMMON) == 0
-        assert run_command(["answer"] + args + COMMON) == 0
-
         fused = tmp_path / "fused"
         code = run_command(
             ["eval", "--method", "quest", "--backend", hybrid_name,
              "--benchmark", str(bench_path), "--out", str(fused)] + COMMON
         )
         assert code == 0
+
+        # the stages replay the fused run from its echoed config
+        staged = tmp_path / "staged"
+        args = ["--config", str(fused / "config.json"), "--out", str(staged)]
+        for command in ("generate", "adapt", "answer"):
+            assert run_command([command] + args) == 0
         records = {
             json.loads(line)["item_id"]: json.loads(line)
             for line in (fused / "quest" / "records.jsonl").read_text().splitlines()
@@ -374,13 +393,13 @@ class TestCommands:
         self, tmp_path, hybrid_name, bench_path, monkeypatch, capsys
     ):
         evaluated = []
-        run_eval = cli._run_eval
+        run_eval = cli.evaluate
 
-        def counting_run_eval(cfg, session, items, method, sc_samples):
+        def counting_evaluate(session, items, method, **kwargs):
             evaluated.append(method)
-            return run_eval(cfg, session, items, method, sc_samples)
+            return run_eval(session, items, method, **kwargs)
 
-        monkeypatch.setattr(cli, "_run_eval", counting_run_eval)
+        monkeypatch.setattr(cli, "evaluate", counting_evaluate)
         code = run_command(
             ["compare", "--methods", "base,sc,bogus", "--backend", hybrid_name,
              "--benchmark", str(bench_path), "--out", str(tmp_path / "x")] + COMMON
@@ -391,31 +410,89 @@ class TestCommands:
         assert not (tmp_path / "x").exists()
 
     def test_method_flag_rejected_before_run_dir(self, tmp_path, hybrid_name, bench_path, capsys):
+        with pytest.raises(SystemExit) as caught:
+            run_command(
+                ["compare", "--method", "tent", "--backend", hybrid_name,
+                 "--benchmark", str(bench_path), "--out", str(tmp_path / "x")] + COMMON
+            )
+        assert caught.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --method tent\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        parser = cli._parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        taken = {
+            name: sorted(
+                option for action in sub._actions for option in action.option_strings
+                if option not in ("-h", "--help")
+            )
+            for name, sub in commands.choices.items()
+        }
+        assert taken == {name: sorted(flags) for name, flags in TAKES.items()}
+        assert sum(map(len, taken.values())) == 85
+        assert not any(sub.allow_abbrev for sub in commands.choices.values())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--method", "tent"],
+            ["generate", "--sc-samples", "3"],
+            ["answer", "--rank", "0"],
+            ["selftest", "--rank", "0"],
+            ["eval", "--pair", "2"],  # not read as --pairs
+            ["compare", "--method", "tent"],  # not read as --methods
+        ],
+        ids=["generate-method", "generate-sc-samples", "answer-rank", "selftest-rank",
+             "eval-pair", "compare-method"],
+    )
+    def test_stray_flag_is_an_argparse_error(self, tmp_path, hybrid_name, bench_path, capsys, argv):
+        out = tmp_path / "x"
+        run = ["--backend", hybrid_name, "--benchmark", str(bench_path), "--out", str(out)]
+        with pytest.raises(SystemExit) as caught:
+            run_command(argv + (run if argv[0] != "selftest" else []))
+        assert caught.value.code == 2
+        stray = " ".join(argv[1:])
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {stray}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "adapt", "answer"])
+    def test_stages_reject_another_method(self, tmp_path, hybrid_name, bench_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"method": "tent"}))
         code = run_command(
-            ["compare", "--method", "tent", "--backend", hybrid_name,
-             "--benchmark", str(bench_path), "--out", str(tmp_path / "x")] + COMMON
+            [command, "--config", str(path), "--backend", hybrid_name,
+             "--benchmark", str(bench_path), "--out", str(tmp_path / "x")]
         )
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: compare takes no --method; name its methods with --methods\n"
+            f"error: {command} runs quest's stages only, but the config names method 'tent'\n"
         )
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, config, message",
         [
-            (["eval", "--method", "sc", "--sc-samples", "2", "--sc-temperature", "0"],
+            (["eval", "--method", "sc", "--sc-samples", "2", "--sc-temperature", "0"], None,
              "sc_temperature must be > 0, got 0.0"),
-            (["compare", "--methods", "base,sc", "--sc-temperature", "-1"],
+            (["compare", "--methods", "base,sc", "--sc-temperature", "-1"], None,
              "sc_temperature must be > 0, got -1.0"),
-            (["eval", "--method", "base", "--answer-max-new", "0"],
+            (["eval", "--method", "base", "--answer-max-new", "0"], None,
              "answer_max_new_tokens must be >= 1, got 0"),
+            (["adapt", "--max-seq-len", "-5"], None, "max_seq_len must be >= 2, got -5"),
+            (["eval", "--method", "tlm"], {"optimization": {"betas": [1.0, 0.999]}},
+             "betas must each lie in [0, 1), got (1.0, 0.999)"),
         ],
-        ids=["eval-sc-temperature-0", "compare-sc-temperature-negative", "answer-max-new-0"],
+        ids=["eval-sc-temperature-0", "compare-sc-temperature-negative", "answer-max-new-0",
+             "adapt-max-seq-len-negative", "eval-tlm-beta1-one"],
     )
     def test_unusable_settings_fail_before_any_item(
-        self, tmp_path, hybrid_name, bench_path, capsys, argv, message
+        self, tmp_path, hybrid_name, bench_path, capsys, argv, config, message
     ):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
         code = run_command(
             argv + ["--backend", hybrid_name, "--benchmark", str(bench_path),
                     "--out", str(tmp_path / "x")]
@@ -559,7 +636,7 @@ class TestCommands:
         out = tmp_path / "ans"
         code = run_command(
             ["answer", "--backend", hybrid_name, "--benchmark", str(bench_path),
-             "--item-id", "it0", "--out", str(out)] + COMMON
+             "--item-id", "it0", "--out", str(out)] + ANSWER
         )
         assert code == 0
         assert (out / "it0" / "answer.txt").exists()
@@ -572,7 +649,7 @@ class TestCommands:
         save_adapter(init_adapter(spec_for_all_modules(mods, rank=2), mods), path)
         code = run_command(
             ["answer", "--backend", hybrid_name, "--benchmark", str(bench_path),
-             "--item-id", "it0", "--adapter", str(path), "--out", str(tmp_path / "ans")] + COMMON
+             "--item-id", "it0", "--adapter", str(path), "--out", str(tmp_path / "ans")] + ANSWER
         )
         assert code == 1
         assert capsys.readouterr().err == "error: unknown target modules: layers.9.attn.q\n"
@@ -585,7 +662,7 @@ class TestCommands:
         save_adapter(init_adapter(spec_for_all_modules(mods, rank=2), mods), path)
         code = run_command(
             ["answer", "--backend", hybrid_name, "--benchmark", str(bench_path),
-             "--item-id", "it0", "--adapter", str(path), "--out", str(tmp_path / "ans")] + COMMON
+             "--item-id", "it0", "--adapter", str(path), "--out", str(tmp_path / "ans")] + ANSWER
         )
         assert code == 1
         assert capsys.readouterr().err == (
@@ -598,7 +675,7 @@ class TestCommands:
     def test_answer_rejects_missing_adapter_file(self, tmp_path, hybrid_name, bench_path, capsys):
         code = run_command(
             ["answer", "--backend", hybrid_name, "--benchmark", str(bench_path), "--item-id", "it0",
-             "--adapter", str(tmp_path / "absent.qsta"), "--out", str(tmp_path / "ans")] + COMMON
+             "--adapter", str(tmp_path / "absent.qsta"), "--out", str(tmp_path / "ans")] + ANSWER
         )
         assert code == 1
         assert "absent.qsta" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,16 @@ class TestOptConfig:
             OptConfig(steps=-1)
         with pytest.raises(ValueError):
             OptConfig(grad_accumulation=0)
+        # a negative max_seq_len would slice tokens[:-n] and a beta of 1 divides by 1 - 1**t = 0
+        for kwargs, message in (
+            ({"max_seq_len": -5}, "max_seq_len must be >= 2, got -5"),
+            ({"max_seq_len": 1}, "max_seq_len must be >= 2, got 1"),
+            ({"betas": (1.0, 0.999)}, "betas must each lie in [0, 1), got (1.0, 0.999)"),
+            ({"betas": (0.9, -0.5)}, "betas must each lie in [0, 1), got (0.9, -0.5)"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                OptConfig(**kwargs)
+        assert OptConfig(max_seq_len=2, betas=(0.0, 0.5)).betas == (0.0, 0.5)
 
 
 class TestSftUpdate:
