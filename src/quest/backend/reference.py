@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .session import AdaptableModuleInfo, check_loss_mask
 
 _RMS_EPS = 1e-5
 
-# Entries in a ReferenceBackend's memo of adapter-free generate outputs.
+# Entries in a ReferenceBackend's memo of generate outputs.
 # quest compare draws self-consistency budget n's samples with seeds k < n and
 # runs the largest budget first, so every smaller budget asks again for
 # samples the largest one drew, and quest_no_lora asks again for quest's
@@ -38,6 +39,8 @@ _RMS_EPS = 1e-5
 # entries per benchmark item (budget 8's samples, or 5 pair slots plus
 # retries) come between drawing a request and asking for it again: 144 for
 # 18 items, and 4096 entries keep that reuse for sweeps of about 500 items.
+# The same bound holds for lock-step answering, which prefetches every item's
+# answers (8 per item at budget 8) before the first is read back.
 # The vocabulary is capped at 128, so an entry holds one byte per token, at
 # most max_len bytes of prompt and output plus about 300 bytes of Python
 # objects: about 2.3 MB in all at max_len 256.
@@ -52,6 +55,17 @@ _MEMO_ENTRIES = 4096
 # cap against one stack per length: query_s median 0.322 s against 0.379 s
 # (the cap won 10 of 10) and peak_rss_mb 53.8 against 64.8 MB.
 _STACK_TOKENS = 128
+
+# Rows one lock-step decode runs at most: prefetch cuts a group of requests
+# into balanced chunks of at most this many rows. Measured in-process on
+# bench/'s model (compare_baselines round 01, seed 11, 18 items; 2 vCPUs,
+# numpy 2.4.6 with OpenBLAS, one BLAS thread; medians of 5 interleaved reps),
+# decoding ms per query of base answers, tent answers and sc@8 samples: 40.5,
+# 47.9 and 250.0 one row at a time; 14.3, 18.5 and 88.6 at 8 rows; 12.1, 15.7
+# and 60.4 at 16; 9.6, 12.0 and 55.0 at 32. One sampled chunk grows peak RSS
+# by 4.6 MB at 16 rows and 6.9 MB at 32, in a fresh process, against 5.9 MB
+# for one item's 8 samples decoded together with copying compaction before.
+_LOCKSTEP_ROWS = 16
 
 DEFAULT_CHARSET = "\n\t" + "".join(chr(c) for c in range(32, 127))
 
@@ -259,8 +273,9 @@ class _RefCore:
             if masks is not None:
                 mask = next(masks).astype(xin.dtype) / np.asarray(1.0 - dropout, dtype=xin.dtype)
                 branch_in = xin * mask
-            h = branch_in @ A.T
-            out = out + (h @ B.T) * np.asarray(scaling, dtype=xin.dtype)
+            # swapaxes, not .T: stacked per-row factors (B, r, d) take the same path
+            h = branch_in @ A.swapaxes(-1, -2)
+            out = out + (h @ B.swapaxes(-1, -2)) * np.asarray(scaling, dtype=xin.dtype)
             return out, (xin, branch_in, h, mask, (A, B))
 
         for li in range(cfg.n_layer):
@@ -440,12 +455,88 @@ def _entropy_and_dlogits(logits: np.ndarray) -> tuple[list[float], np.ndarray]:
     return row_h.mean(axis=-1).tolist(), dlogits
 
 
-def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """The index ``rng.choice(len(probs), p=probs)`` draws, from the same
-    generator state, without its per-call validation of ``probs``."""
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _draw(probs: np.ndarray, rngs) -> Union[int, list[int]]:
+    """The index ``rng.choice(V, p=row)`` draws for each row of ``probs``,
+    from the same generator state, without its per-call validation: probs
+    (V,) with one generator gives one index, probs (rows, V) with one
+    generator per row gives a list. Each row takes one ``random()`` from its
+    generator, in row order; counting ``cdf <= u`` equals
+    ``cdf.searchsorted(u, side="right")`` on a non-decreasing cdf."""
+    cdf = probs.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    if cdf.ndim == 1:
+        return int(cdf.searchsorted(rngs.random(), side="right"))
+    u = np.array([rng.random() for rng in rngs])
+    return (cdf <= u[:, None]).sum(axis=1).tolist()
+
+
+@dataclass(frozen=True)
+class _RowFactors:
+    """Adapters of one spec stacked along the row axis, for a forward over
+    one row per adapter: A (rows, r, d_in), B (rows, d_out, r). ``spec``
+    is the first adapter's; only training reads its dropout."""
+
+    factors: dict[str, tuple[np.ndarray, np.ndarray]]
+    scaling: float
+    spec: Any
+
+
+def _spec_key(adapter: Any) -> Optional[tuple]:
+    """What adapters must share to stack: targets, factor shapes and dtypes
+    (so the rank) and scaling. None for no adapter."""
+    if adapter is None:
+        return None
+    shapes = tuple(
+        (name, a.shape, b.shape, a.dtype.str, b.dtype.str) for name, (a, b) in adapter.factors.items()
+    )
+    return float(adapter.scaling), shapes
+
+
+def _adapter_digest(adapter: Any) -> Optional[bytes]:
+    """Digest of an adapter's spec key and factor bytes: equal exactly when
+    two adapters compute the same outputs. None for no adapter."""
+    if adapter is None:
+        return None
+    h = hashlib.blake2b(repr(_spec_key(adapter)).encode(), digest_size=16)
+    for a, b in adapter.factors.values():
+        h.update(a.tobytes())
+        h.update(b.tobytes())
+    return h.digest()
+
+
+def _stack_rows(adapters: Sequence[Any]) -> Optional[_RowFactors]:
+    """One stack of factors over adapters of one spec, or None when the rows
+    have no adapter."""
+    first = adapters[0]
+    if first is None:
+        return None
+    factors = {
+        name: tuple(np.stack([a.factors[name][k] for a in adapters]) for k in (0, 1))
+        for name in first.factors
+    }
+    return _RowFactors(factors, float(first.scaling), first.spec)
+
+
+def _compact(kv: list, rows: Optional[_RowFactors], keep: list[int], filled: int):
+    """Move the rows ``keep`` (ascending) of the key/value buffers, their
+    first ``filled`` positions, and of the stacked factors to the front, in
+    place, and return views over them. No buffer is allocated."""
+    for j, i in enumerate(keep):
+        if i == j:
+            continue
+        for K, V in kv:
+            K[j, :, :filled] = K[i, :, :filled]
+            V[j, :, :filled] = V[i, :, :filled]
+        if rows is not None:
+            for a, b in rows.factors.values():
+                a[j] = a[i]
+                b[j] = b[i]
+    n = len(keep)
+    kv = [(K[:n], V[:n]) for K, V in kv]
+    if rows is not None:
+        factors = {name: (a[:n], b[:n]) for name, (a, b) in rows.factors.items()}
+        rows = _RowFactors(factors, rows.scaling, rows.spec)
+    return kv, rows
 
 
 class ReferenceBackend:
@@ -647,10 +738,11 @@ class ReferenceBackend:
         return ids, digest
 
     @staticmethod
-    def _memo_key(ids: np.ndarray, max_new_tokens: int, temperature: float, digest) -> tuple:
+    def _memo_key(ids: np.ndarray, max_new_tokens: int, temperature: float, digest, adapter) -> tuple:
         # the digest seeds the sampler, so it stands for the seed in the key;
         # greedy output does not depend on the seed
-        return (ids.astype(np.uint8).tobytes(), max_new_tokens, temperature, digest)
+        ids = ids.astype(np.uint8).tobytes()
+        return (ids, max_new_tokens, temperature, digest, _adapter_digest(adapter))
 
     def _remember(self, key: tuple, out: list[int]) -> None:
         self._memo[key] = bytes(out)
@@ -667,83 +759,102 @@ class ReferenceBackend:
     ) -> list[int]:
         """Greedy (``temperature == 0``) or sampled continuation of ``prompt``.
 
-        Calls without an adapter are served from a least-recently-used memo of
-        ``_MEMO_ENTRIES`` outputs, keyed by the prompt, ``max_new_tokens``,
-        ``temperature`` and, when sampling, the seed; the base parameters are
-        frozen, so a repeated request decodes to the same tokens. Calls with
-        an adapter always decode, since an adapter changes while it trains.
-        ``prefetch`` fills the memo for many requests at once.
+        Outputs are kept in a least-recently-used memo of ``_MEMO_ENTRIES``
+        entries, keyed by the prompt, ``max_new_tokens``, ``temperature``,
+        when sampling the seed, and a digest of the adapter's factor bytes
+        and scaling; the base parameters are frozen, so a repeated request
+        decodes to the same tokens. Calls without an adapter store what they
+        decode. Calls with one only read the memo, which ``prefetch`` fills:
+        an adapter changes while it trains, so its outputs are rarely asked
+        for twice.
         """
         request = self._request(prompt, max_new_tokens, temperature, seed)
         if request is None:
             return []
         ids, digest = request
-        if adapter is not None:
-            return self._decode(ids[None], max_new_tokens, temperature, adapter, [digest])[0]
-        key = self._memo_key(ids, max_new_tokens, temperature, digest)
+        key = self._memo_key(ids, max_new_tokens, temperature, digest, adapter)
         hit = self._memo.get(key)
         if hit is not None:
             self._memo.move_to_end(key)
             return list(hit)
-        out = self._decode(ids[None], max_new_tokens, temperature, None, [digest])[0]
-        self._remember(key, out)
+        out = self._decode(ids[None], max_new_tokens, temperature, [adapter], [digest])[0]
+        if adapter is None:
+            self._remember(key, out)
         return out
 
     def prefetch(
         self,
-        requests: Sequence[tuple[Sequence[int], Optional[int]]],
+        requests: Sequence[tuple],
         max_new_tokens: int,
         temperature: float = 0.0,
-    ) -> None:
-        """Decode adapter-free ``(prompt, seed)`` requests in lock-step into
-        the generate memo, so the ``generate`` calls that follow are hits.
+    ) -> list[float]:
+        """Decode ``(prompt, seed)`` or ``(prompt, seed, adapter)`` requests
+        in lock-step into the generate memo, so the ``generate`` calls that
+        follow are hits. Returns each request's share of the decoding time,
+        in seconds.
 
-        Requests with prompts of one length decode together, one forward per
-        step for all of their rows; each row samples with its own seed, and
-        its output is the one ``generate`` alone would give. Requests already
-        in the memo, repeated ones and ones ``generate`` rejects are skipped,
-        so ``generate`` still raises for the last.
+        Requests group by prompt length and adapter spec (targets, factor
+        shapes and scaling; or no adapter), and each group decodes in
+        balanced chunks of at most ``_LOCKSTEP_ROWS`` rows: one forward over
+        the chunk's prompts, then one forward per step for all of its rows,
+        each row under its own adapter and sampling with its own seed. Its
+        output is the one ``generate`` alone would give, bit for bit. A
+        chunk's time is shared equally by its rows. Requests already in the
+        memo, repeated ones and ones ``generate`` rejects are skipped, so
+        ``generate`` still raises for the last.
         """
-        groups: dict[int, dict[tuple, tuple[np.ndarray, Optional[bytes]]]] = {}
-        for prompt, seed in requests:
+        seconds = [0.0] * len(requests)
+        groups: dict[tuple, dict[tuple, tuple]] = {}
+        for index, (prompt, seed, *adapter) in enumerate(requests):
+            adapter = adapter[0] if adapter else None
             try:
                 request = self._request(prompt, max_new_tokens, temperature, seed)
             except ValueError:
                 continue
             if request is None:  # max_new_tokens is 0: nothing to decode
-                return
+                return seconds
             ids, digest = request
-            key = self._memo_key(ids, max_new_tokens, temperature, digest)
+            key = self._memo_key(ids, max_new_tokens, temperature, digest, adapter)
             if key in self._memo:
                 self._memo.move_to_end(key)
                 continue
-            groups.setdefault(len(ids), {})[key] = (ids, digest)
+            group = groups.setdefault((len(ids), _spec_key(adapter)), {})
+            group.setdefault(key, (index, ids, digest, adapter))
         for group in groups.values():
-            rows = list(group.values())
-            outs = self._decode(
-                np.stack([ids for ids, _ in rows]),
-                max_new_tokens,
-                temperature,
-                None,
-                [digest for _, digest in rows],
-            )
-            for key, out in zip(group, outs):
-                self._remember(key, out)
+            rows = list(group.items())
+            n_chunks = -(-len(rows) // _LOCKSTEP_ROWS)
+            bounds = [len(rows) * c // n_chunks for c in range(n_chunks + 1)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                keys, chunk = zip(*rows[lo:hi])
+                indices, ids, digests, adapters = zip(*chunk)
+                t0 = time.perf_counter()
+                try:
+                    outs = self._decode(np.stack(ids), max_new_tokens, temperature, adapters, digests)
+                except ValueError:  # factors that do not fit the model: generate raises
+                    continue
+                share = (time.perf_counter() - t0) / len(chunk)
+                for key, index, out in zip(keys, indices, outs):
+                    self._remember(key, out)
+                    seconds[index] = share
+        return seconds
 
     def _decode(
         self,
         ids: np.ndarray,
         max_new_tokens: int,
         temperature: float,
-        adapter: Any,
+        adapters: Sequence[Any],
         digests: Sequence[Optional[bytes]],
     ) -> list[list[int]]:
-        """Continue B prompts of one length, ``ids`` (B, P), in lock-step.
+        """Continue B prompts of one length, ``ids`` (B, P), in lock-step,
+        row b under ``adapters[b]`` (all None, or all of one spec).
 
-        One forward fills the key/value cache with every prompt; each step
-        then feeds one token per row still decoding. A row stops at the
-        end-of-sequence token, at ``max_new_tokens`` or at the context window,
-        and the rows left are compacted; no forward runs once none is left.
+        The prompts fill the key/value cache, in one forward without
+        adapters or one per adapted row; each step then feeds one token per
+        row still decoding, under the rows' stacked factors. A row stops at the
+        end-of-sequence token, at ``max_new_tokens`` or at the context window;
+        the rows left are compacted in place; no forward runs once none is
+        left.
         """
         n_rows, pos = ids.shape
         rngs = [
@@ -754,7 +865,16 @@ class ReferenceBackend:
         live = list(range(n_rows))
         eos, window = self.eos_id, self.max_len
         kv = self._core.empty_kv(n_rows)
-        logits = self._core.forward(ids, adapter=adapter, kv=kv)[0][:, -1]
+        rows = _stack_rows(adapters)
+        # adapter-free rows prefill together; adapted ones one at a time, as
+        # generate alone would, so that a chunk of quest's long answer prompts
+        # holds one row's attention scores at a time, not the chunk's
+        spans = [slice(0, n_rows)] if rows is None else [slice(b, b + 1) for b in range(n_rows)]
+        firsts = []
+        for span in spans:
+            cache = [(K[span], V[span]) for K, V in kv]
+            firsts.append(self._core.forward(ids[span], adapter=adapters[span.start], kv=cache)[0][:, -1])
+        logits = np.concatenate(firsts)
         while True:
             if temperature == 0:
                 toks = logits.argmax(axis=1).tolist()
@@ -763,7 +883,7 @@ class ReferenceBackend:
                 z -= z.max(axis=1)[:, None]
                 probs = np.exp(z)
                 probs /= probs.sum(axis=1)[:, None]
-                toks = [_draw(p, rngs[row]) for p, row in zip(probs, live)]
+                toks = _draw(probs, [rngs[row] for row in live])
             fits = pos + 1 < window
             keep = []
             for i, tok in enumerate(toks):
@@ -777,9 +897,9 @@ class ReferenceBackend:
             if len(keep) < len(live):
                 live = [live[i] for i in keep]
                 toks = [toks[i] for i in keep]
-                kv = [(K[keep], V[keep]) for K, V in kv]
+                kv, rows = _compact(kv, rows, keep, pos)
             step = np.array(toks, dtype=np.intp)[:, None]
-            logits = self._core.forward(step, adapter=adapter, kv=kv, start=pos)[0][:, 0]
+            logits = self._core.forward(step, adapter=rows, kv=kv, start=pos)[0][:, 0]
             pos += 1
 
 

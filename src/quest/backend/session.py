@@ -52,11 +52,13 @@ class Backend(Protocol):
     eval-mode loss, and ``adapter=None`` gives the base model's.
 
     A backend may also offer ``prefetch(requests, max_new_tokens,
-    temperature)``: it decodes adapter-free ``(prompt, seed)`` requests
-    together so that the ``generate`` calls that follow return their outputs
-    without decoding again. It is optional; callers look it up with
-    ``getattr`` and otherwise call ``generate`` alone, which must return the
-    same tokens either way.
+    temperature)``: it decodes ``(prompt, seed)`` or ``(prompt, seed,
+    adapter)`` requests together so that the ``generate`` calls that follow,
+    with the same arguments and an adapter of equal factor values, return
+    their outputs without decoding again. It returns one number per request,
+    the seconds of decoding charged to it. It is optional; callers look it up
+    with ``getattr`` and otherwise call ``generate`` alone, which must return
+    the same tokens either way.
     """
 
     name: str

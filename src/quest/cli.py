@@ -386,6 +386,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _config_from_args(args)
+    if cfg.method != RunConfig.method:
+        raise ValueError(
+            f"compare runs the methods of --methods and never reads config key 'method', "
+            f"but the config names method {cfg.method!r}"
+        )
     names = (args.methods or "base,quest,self_consistency").split(",")
     methods = [engine.method_named(name.strip()) for name in names]
     repeated = sorted({m for m in methods if methods.count(m) > 1})

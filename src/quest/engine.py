@@ -9,6 +9,12 @@ counts optimizer updates; each update accumulates gradients over
 ``grad_accumulation`` examples visited by cycling them in order. Token
 telemetry is exact: generated tokens cover every sampling call including parse
 retries, trained tokens count every example visit.
+
+Each method is a runner: it fits (pair generation, adaptation), yields the
+answer requests it is about to decode, and once resumed reads them back
+through ``generate``. ``run_together`` runs many queries' runners side by
+side and decodes all their answers in lock-step; each public method function
+runs its runner alone.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import logging
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Generator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -186,6 +192,103 @@ def adapt(
     return adapter, telemetry
 
 
+@dataclass(frozen=True)
+class AnswerRequest:
+    """One decode a runner asks for before it reads the tokens back through
+    ``backend.generate``; the fields are ``generate``'s arguments."""
+
+    prompt: list[int]
+    max_new_tokens: int
+    temperature: float = 0.0
+    adapter: Optional[AdapterState] = None
+    seed: Optional[int] = None
+
+
+# A runner is a generator: it does its own work (pair generation,
+# adaptation), yields its answer requests, and once resumed reads them
+# back and returns its result.
+Runner = Generator[list[AnswerRequest], None, Any]
+
+
+def _generated(backend, requests: list[AnswerRequest]) -> Generator[Any, None, list[list[int]]]:
+    """Yield ``requests``, then return their outputs from ``generate``."""
+    yield requests
+    return [
+        backend.generate(r.prompt, r.max_new_tokens, r.temperature, adapter=r.adapter, seed=r.seed)
+        for r in requests
+    ]
+
+
+def run_together(backend, runners: Sequence[Runner]) -> list[tuple[Any, float]]:
+    """Run ``runners`` side by side and answer their requests in lock-step.
+
+    Each runner runs up to its yield; one ``prefetch`` per (max_new_tokens,
+    temperature) then decodes every request into the backend's memo, and
+    each runner, resumed, reads its tokens back through ``generate``.
+    Returns per runner its return value, or the exception it raised, and
+    its seconds: its own running time plus its requests' shares of the
+    decoding. Without ``prefetch`` every ``generate`` call decodes.
+    """
+    outcomes: list[Any] = [None] * len(runners)
+    seconds = [0.0] * len(runners)
+    running = list(range(len(runners)))
+    prefetch = getattr(backend, "prefetch", None)
+    while running:
+        asked = []
+        for i in running:
+            t0 = time.perf_counter()
+            try:
+                asked.append((i, runners[i].send(None)))
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except Exception as exc:  # kept as the runner's outcome
+                outcomes[i] = exc
+            seconds[i] += time.perf_counter() - t0
+        running = [i for i, _ in asked]
+        if prefetch is None:
+            continue
+        settings: dict[tuple, list[tuple[int, AnswerRequest]]] = {}
+        for i, requests in asked:
+            for r in requests:
+                settings.setdefault((r.max_new_tokens, r.temperature), []).append((i, r))
+        for (max_new_tokens, temperature), rows in settings.items():
+            requests = [(r.prompt, r.seed, r.adapter) for _, r in rows]
+            shares = prefetch(requests, max_new_tokens, temperature)
+            for (i, _), share in zip(rows, shares):
+                seconds[i] += share
+    return list(zip(outcomes, seconds))
+
+
+def _alone(session: ModelSession, runner: Runner) -> tuple[Any, float]:
+    """``runner`` run by itself: its return value and seconds, or its error."""
+    ((outcome, seconds),) = run_together(session.backend, [runner])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome, seconds
+
+
+def _timed(session: ModelSession, runner: Runner) -> MethodResult:
+    result, seconds = _alone(session, runner)
+    result.telemetry.wall_seconds = seconds
+    return result
+
+
+def _answer(
+    session: ModelSession,
+    query: Query,
+    adapter: Optional[AdapterState],
+    max_new_tokens: int,
+) -> Generator[list[AnswerRequest], None, tuple[str, int]]:
+    """Runner steps of a greedy answer: its text and token count."""
+    backend = session.backend
+    if adapter is not None:
+        check_adapter(adapter, backend.adaptable_modules())
+    prompt = _answer_prompt_ids(session, query)
+    request = AnswerRequest(prompt, max_new_tokens, 0.0, adapter, session.seed)
+    (out,) = yield from _generated(backend, [request])
+    return backend.detokenize(out), len(out)
+
+
 def generate_answer(
     session: ModelSession,
     query: Query,
@@ -197,25 +300,22 @@ def generate_answer(
     ``adapter`` may come from a file, so its module names, factor shapes and
     dtype are checked against the backend's before any decoding.
     """
-    backend = session.backend
-    if adapter is not None:
-        check_adapter(adapter, backend.adaptable_modules())
-    prompt_ids = _answer_prompt_ids(session, query)
-    out = backend.generate(prompt_ids, max_new_tokens, 0.0, adapter=adapter, seed=session.seed)
-    return backend.detokenize(out), len(out)
+    return _alone(session, _answer(session, query, adapter, max_new_tokens))[0]
+
+
+def _base_steps(session: ModelSession, query: Query, max_new_tokens: int) -> Runner:
+    text, n_tokens = yield from _answer(session, query, None, max_new_tokens)
+    return MethodResult(text, extract_boxed(text), AdaptTelemetry(generated_tokens=n_tokens))
 
 
 def base_answer(
     session: ModelSession, query: Query, max_new_tokens: int = ANSWER_MAX_NEW_TOKENS
 ) -> MethodResult:
     """Unadapted greedy answer; the floor every method is measured against."""
-    t0 = time.perf_counter()
-    text, n_tokens = generate_answer(session, query, None, max_new_tokens)
-    telemetry = AdaptTelemetry(generated_tokens=n_tokens, wall_seconds=time.perf_counter() - t0)
-    return MethodResult(text, extract_boxed(text), telemetry)
+    return _timed(session, _base_steps(session, query, max_new_tokens))
 
 
-def _quest_pipeline(
+def _quest_steps(
     session: ModelSession,
     query: Query,
     gen_cfg: GenConfig,
@@ -224,8 +324,7 @@ def _quest_pipeline(
     conditioned: bool,
     generator_session: Optional[ModelSession],
     max_new_tokens: int,
-) -> MethodResult:
-    t0 = time.perf_counter()
+) -> Runner:
     gen_session = generator_session if generator_session is not None else session
     if conditioned:
         gen = generate_dataset(gen_session, query, gen_cfg)
@@ -234,15 +333,13 @@ def _quest_pipeline(
 
     if not gen.pairs:
         # uninformative supervision: fall back to the unadapted base answer
-        text, n_answer = generate_answer(session, query, None, max_new_tokens)
-        telemetry = AdaptTelemetry(generated_tokens=gen.generated_tokens + n_answer)
+        adapter, telemetry = None, AdaptTelemetry()
     else:
         adapter, telemetry = adapt(
             session, gen.pairs, spec, opt_cfg, system_prompt=query.system_prompt
         )
-        text, n_answer = generate_answer(session, query, adapter, max_new_tokens)
-        telemetry.generated_tokens = gen.generated_tokens + n_answer
-    telemetry.wall_seconds = time.perf_counter() - t0
+    text, n_answer = yield from _answer(session, query, adapter, max_new_tokens)
+    telemetry.generated_tokens = gen.generated_tokens + n_answer
     return MethodResult(text, extract_boxed(text), telemetry)
 
 
@@ -261,8 +358,9 @@ def quest(
     ``generator_session`` defaults to the solving session (the base model is
     its own generator); tests substitute a scripted generator here.
     """
-    return _quest_pipeline(
-        session, query, gen_cfg, spec, opt_cfg, True, generator_session, max_new_tokens
+    return _timed(
+        session,
+        _quest_steps(session, query, gen_cfg, spec, opt_cfg, True, generator_session, max_new_tokens),
     )
 
 
@@ -277,9 +375,31 @@ def quest_no_query(
     max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
 ) -> MethodResult:
     """Ablation: same pipeline trained on query-independent pairs."""
-    return _quest_pipeline(
-        session, query, gen_cfg, spec, opt_cfg, False, generator_session, max_new_tokens
+    return _timed(
+        session,
+        _quest_steps(session, query, gen_cfg, spec, opt_cfg, False, generator_session, max_new_tokens),
     )
+
+
+def _no_lora_steps(
+    session: ModelSession,
+    query: Query,
+    gen_cfg: GenConfig,
+    generator_session: Optional[ModelSession],
+    max_new_tokens: int,
+) -> Runner:
+    gen_session = generator_session if generator_session is not None else session
+    gen = generate_dataset(gen_session, query, gen_cfg)
+    blocks = [f"{pair.problem}\n{pair.solution}\n" for pair in gen.pairs]
+    prompt = "".join(blocks) + format_answer_prompt(query.text, query.system_prompt)
+    backend = session.backend
+    request = AnswerRequest(backend.tokenize(prompt), max_new_tokens, 0.0, None, session.seed)
+    (out,) = yield from _generated(backend, [request])
+    text = backend.detokenize(out)
+    telemetry = AdaptTelemetry(
+        generated_tokens=gen.generated_tokens + len(out), pairs_used=len(gen.pairs)
+    )
+    return MethodResult(text, extract_boxed(text), telemetry)
 
 
 def quest_no_lora(
@@ -291,41 +411,26 @@ def quest_no_lora(
     max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
 ) -> MethodResult:
     """Ablation: generated pairs become in-context exemplars; no updates."""
-    t0 = time.perf_counter()
-    gen_session = generator_session if generator_session is not None else session
-    gen = generate_dataset(gen_session, query, gen_cfg)
-    blocks = [f"{pair.problem}\n{pair.solution}\n" for pair in gen.pairs]
-    prompt = "".join(blocks) + format_answer_prompt(query.text, query.system_prompt)
-    prompt_ids = session.backend.tokenize(prompt)
-    out = session.backend.generate(prompt_ids, max_new_tokens, 0.0, seed=session.seed)
-    text = session.backend.detokenize(out)
-    telemetry = AdaptTelemetry(
-        generated_tokens=gen.generated_tokens + len(out),
-        pairs_used=len(gen.pairs),
-        wall_seconds=time.perf_counter() - t0,
-    )
-    return MethodResult(text, extract_boxed(text), telemetry)
+    return _timed(session, _no_lora_steps(session, query, gen_cfg, generator_session, max_new_tokens))
 
 
-def _objective_pipeline(
+def _objective_steps(
     session: ModelSession,
     query: Query,
     spec: AdapterSpec,
     opt_cfg: OptConfig,
     loss: str,
     max_new_tokens: int,
-) -> MethodResult:
-    """Shared TENT/TLM pipeline: train on the query text alone, then answer.
+) -> Runner:
+    """Shared TENT/TLM steps: train on the query text alone, then answer.
 
     The example's NLL is TLM's objective; TENT's entropy ignores the mask.
     """
-    t0 = time.perf_counter()
     tokens = session.backend.tokenize(query.text)[: session.backend.max_len]
     example = (tokens, [0] + [1] * (len(tokens) - 1))
     adapter, telemetry = _train(session, [example], spec, opt_cfg, loss=loss)
-    text, n_answer = generate_answer(session, query, adapter, max_new_tokens)
+    text, n_answer = yield from _answer(session, query, adapter, max_new_tokens)
     telemetry.generated_tokens += n_answer
-    telemetry.wall_seconds = time.perf_counter() - t0
     return MethodResult(text, extract_boxed(text), telemetry)
 
 
@@ -339,7 +444,7 @@ def tent(
 ) -> MethodResult:
     """Entropy-minimization baseline over the query's next-token distributions,
     optimized through the same low-rank parameterization as the main method."""
-    return _objective_pipeline(session, query, spec, opt_cfg, "entropy", max_new_tokens)
+    return _timed(session, _objective_steps(session, query, spec, opt_cfg, "entropy", max_new_tokens))
 
 
 def tlm(
@@ -351,7 +456,36 @@ def tlm(
     max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
 ) -> MethodResult:
     """Input-perplexity-minimization baseline: NLL of the query text itself."""
-    return _objective_pipeline(session, query, spec, opt_cfg, "nll", max_new_tokens)
+    return _timed(session, _objective_steps(session, query, spec, opt_cfg, "nll", max_new_tokens))
+
+
+def _sc_steps(
+    session: ModelSession,
+    query: Query,
+    n_samples: int,
+    temperature: float,
+    max_new_tokens: int,
+    extract: Callable[[str], Optional[str]],
+) -> Runner:
+    check_sampling(n_samples, temperature)
+    prompt_ids = _answer_prompt_ids(session, query)
+    requests = [
+        AnswerRequest(prompt_ids, max_new_tokens, temperature, None, derive_seed(session.seed, "sc", k))
+        for k in range(n_samples)
+    ]
+    # the n samples decode in lock-step, with other items' when run together
+    outs = yield from _generated(session.backend, requests)
+    texts = [session.backend.detokenize(out) for out in outs]
+    answers = [extract(text) for text in texts]
+    winner = majority_vote(answers)
+    raw = texts[0]
+    if winner is not None:
+        for text, ans in zip(texts, answers):
+            if ans is not None and answers_equivalent(ans, winner):
+                raw = text
+                break
+    telemetry = AdaptTelemetry(generated_tokens=sum(len(out) for out in outs))
+    return MethodResult(raw, winner, telemetry)
 
 
 def self_consistency(
@@ -364,32 +498,7 @@ def self_consistency(
     extract: Callable[[str], Optional[str]] = extract_boxed,
 ) -> MethodResult:
     """Sample n completions and majority-vote their extracted answers."""
-    check_sampling(n_samples, temperature)
-    t0 = time.perf_counter()
-    prompt_ids = _answer_prompt_ids(session, query)
-    seeds = [derive_seed(session.seed, "sc", k) for k in range(n_samples)]
-    prefetch = getattr(session.backend, "prefetch", None)
-    if prefetch is not None:
-        # the n samples decode in lock-step; the generate calls below read them
-        prefetch([(prompt_ids, seed) for seed in seeds], max_new_tokens, temperature)
-    texts = []
-    answers = []
-    total_tokens = 0
-    for seed in seeds:
-        out = session.backend.generate(prompt_ids, max_new_tokens, temperature, seed=seed)
-        total_tokens += len(out)
-        text = session.backend.detokenize(out)
-        texts.append(text)
-        answers.append(extract(text))
-    winner = majority_vote(answers)
-    raw = texts[0]
-    if winner is not None:
-        for text, ans in zip(texts, answers):
-            if ans is not None and answers_equivalent(ans, winner):
-                raw = text
-                break
-    telemetry = AdaptTelemetry(generated_tokens=total_tokens, wall_seconds=time.perf_counter() - t0)
-    return MethodResult(raw, winner, telemetry)
+    return _timed(session, _sc_steps(session, query, n_samples, temperature, max_new_tokens, extract))
 
 
 def check_sampling(n_samples: int, temperature: float) -> None:
@@ -405,48 +514,44 @@ def check_sampling(n_samples: int, temperature: float) -> None:
 
 @dataclass(frozen=True)
 class Method:
-    """A row of ``METHODS``: ``run(session, query, **settings)`` answers one
-    query; ``sampled`` methods take a sampling budget, ``n_samples``."""
+    """A row of ``METHODS``: ``run(session, query, **settings)`` returns the
+    runner that answers one query; ``sampled`` methods take a sampling
+    budget, ``n_samples``."""
 
-    run: Callable[..., MethodResult]
+    run: Callable[..., Runner]
     sampled: bool = False
     alias: Optional[str] = None
 
 
-# Each runner takes what it needs of the settings ``evalkit.evaluate`` passes
-# and calls its public function through this module's globals at call time,
-# so a patched ``engine.quest`` is the one that runs.
+# Each runner takes what it needs of the settings ``evalkit.evaluate`` passes.
+# The public function of each method runs the same runner alone.
 METHODS = {
-    "base": Method(lambda s, q, *, max_new_tokens, **_: base_answer(s, q, max_new_tokens)),
+    "base": Method(lambda s, q, *, max_new_tokens, **_: _base_steps(s, q, max_new_tokens)),
     "quest": Method(
         lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, **_:
-        quest(s, q, gen_cfg, spec, opt_cfg,
-              generator_session=generator_session, max_new_tokens=max_new_tokens)
+        _quest_steps(s, q, gen_cfg, spec, opt_cfg, True, generator_session, max_new_tokens)
     ),
     "tent": Method(
         lambda s, q, *, spec, opt_cfg, max_new_tokens, **_:
-        tent(s, q, spec, opt_cfg, max_new_tokens=max_new_tokens)
+        _objective_steps(s, q, spec, opt_cfg, "entropy", max_new_tokens)
     ),
     "tlm": Method(
         lambda s, q, *, spec, opt_cfg, max_new_tokens, **_:
-        tlm(s, q, spec, opt_cfg, max_new_tokens=max_new_tokens)
+        _objective_steps(s, q, spec, opt_cfg, "nll", max_new_tokens)
     ),
     "self_consistency": Method(
         lambda s, q, *, n_samples, temperature, max_new_tokens, extract, **_:
-        self_consistency(s, q, n_samples, temperature,
-                         max_new_tokens=max_new_tokens, extract=extract),
+        _sc_steps(s, q, n_samples, temperature, max_new_tokens, extract),
         sampled=True,
         alias="sc",
     ),
     "quest_no_query": Method(
         lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, **_:
-        quest_no_query(s, q, gen_cfg, spec, opt_cfg,
-                       generator_session=generator_session, max_new_tokens=max_new_tokens)
+        _quest_steps(s, q, gen_cfg, spec, opt_cfg, False, generator_session, max_new_tokens)
     ),
     "quest_no_lora": Method(
         lambda s, q, *, gen_cfg, generator_session, max_new_tokens, **_:
-        quest_no_lora(s, q, gen_cfg,
-                      generator_session=generator_session, max_new_tokens=max_new_tokens)
+        _no_lora_steps(s, q, gen_cfg, generator_session, max_new_tokens)
     ),
 }
 

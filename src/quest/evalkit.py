@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 import string
-import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -314,6 +313,11 @@ def evaluate(
     """Run one method (a name or alias of ``engine.METHODS``) over a benchmark
     with a fresh adapter per item.
 
+    Every item is fitted first (pair generation and adaptation, one item at
+    a time), then the answers of all items decode together
+    (``engine.run_together``). A record's ``wall_seconds`` is its item's own
+    running time plus its share of the lock-step decoding.
+
     A self-consistency budget or temperature that cannot sample fails before
     any item runs. Per-item errors are recorded as incorrect (with the error
     text) and never abort the sweep. Fully deterministic for a fixed seed on
@@ -337,37 +341,36 @@ def evaluate(
     if system_prompt is None:
         system_prompt = DEFAULT_SYSTEM_PROMPT
 
-    def run_item(item: BenchmarkItem) -> EvalRecord:
+    def steps(item: BenchmarkItem) -> "engine.Runner":
         seeds = engine.derive_item_seeds(seed, item.id)
-        isess = session.clone(seed=seeds["session"])
-        t0 = time.perf_counter()
-        try:
-            result = runner.run(
-                isess,
-                item_to_query(item, system_prompt),
-                gen_cfg=gen_cfg,
-                spec=replace(adapter_spec, init_seed=seeds["adapter"]),
-                opt_cfg=replace(opt_cfg, seed=seeds["opt"]),
-                generator_session=(
-                    generator_session.clone(seed=seeds["session"])
-                    if generator_session is not None
-                    else None
-                ),
-                max_new_tokens=max_new_tokens,
-                n_samples=sc_samples,
-                temperature=sc_temperature,
-                extract=(
-                    (lambda text: extract_choice(text, len(item.choices)))
-                    if item.mode == "choice-letter"
-                    else extract_boxed
-                ),
-            )
-        except Exception as exc:  # recorded, never fatal for the sweep
+        return runner.run(
+            session.clone(seed=seeds["session"]),
+            item_to_query(item, system_prompt),
+            gen_cfg=gen_cfg,
+            spec=replace(adapter_spec, init_seed=seeds["adapter"]),
+            opt_cfg=replace(opt_cfg, seed=seeds["opt"]),
+            generator_session=(
+                generator_session.clone(seed=seeds["session"])
+                if generator_session is not None
+                else None
+            ),
+            max_new_tokens=max_new_tokens,
+            n_samples=sc_samples,
+            temperature=sc_temperature,
+            extract=(
+                (lambda text: extract_choice(text, len(item.choices)))
+                if item.mode == "choice-letter"
+                else extract_boxed
+            ),
+        )
+
+    def record(item: BenchmarkItem, result, seconds: float) -> EvalRecord:
+        if isinstance(result, Exception):  # recorded, never fatal for the sweep
             return EvalRecord(
                 item_id=item.id, method=method, raw_output="", extracted=None,
                 correct=False, generated_tokens=0, trained_tokens=0,
-                wall_seconds=time.perf_counter() - t0, gold=item.answer,
-                n_samples=n_samples, error=f"{type(exc).__name__}: {exc}",
+                wall_seconds=seconds, gold=item.answer,
+                n_samples=n_samples, error=f"{type(result).__name__}: {result}",
             )
         if item.mode == "choice-letter":
             extracted = extract_choice(result.answer_text, len(item.choices))
@@ -380,12 +383,13 @@ def evaluate(
             extracted=extracted, correct=correct,
             generated_tokens=result.telemetry.generated_tokens,
             trained_tokens=result.telemetry.trained_tokens,
-            wall_seconds=result.telemetry.wall_seconds,
+            wall_seconds=seconds,
             loss_trajectory=list(result.telemetry.loss_trajectory),
             gold=item.answer, n_samples=n_samples,
         )
 
-    records = [run_item(item) for item in items]
+    outcomes = engine.run_together(session.backend, [steps(item) for item in items])
+    records = [record(item, *outcome) for item, outcome in zip(items, outcomes)]
     return records, summarize(records)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .adapters import init_adapter, merge, spec_for_all_modules, unmerge
 from .backend import ModelSession, RefConfig, ReferenceBackend, param_shapes
+from .backend import reference
 from .evalkit import answers_equivalent, majority_vote
 from .engine import OptConfig, quest, tent, tlm
 from .supervision import GenConfig, Query
@@ -136,26 +137,53 @@ def check_frozen_base(session, query, n_pairs: int, steps: int, generator_sessio
 
 
 def check_prefetch_matches_generate() -> None:
-    """``prefetch`` then ``generate`` returns what ``generate`` alone decodes."""
+    """``prefetch`` then ``generate`` returns what ``generate`` alone decodes,
+    with and without adapters, and ``prefetch`` decodes each request once."""
     cfg = RefConfig(charset="abcdefgh <>/:\n", n_layer=2, d_model=32, n_head=4, max_len=40)
     rng = np.random.default_rng(5)
     params = {name: rng.normal(0, 0.3, shape) for name, shape in param_shapes(cfg).items()}
-    # prompts of three lengths, then a repeated request and a bad token id, both skipped
-    requests = [
-        (rng.integers(1, cfg.vocab_size, size=n).tolist(), seed)
-        for n, seed in ((3, 0), (3, 1), (9, 2), (3, 3), (30, 4), (9, 5), (3, 6))
-    ]
-    requests += [requests[1], ([1, cfg.vocab_size], 7)]
+    mods = ReferenceBackend(cfg, params).adaptable_modules()
+    # an identity adapter and two trained-looking ones, all of one spec
+    adapters = [init_adapter(spec_for_all_modules(mods, rank=2, init_seed=k), mods) for k in range(3)]
+    for adapter in adapters[1:]:
+        _random_factors(adapter, rng, 0.3)
+    # prompts of three lengths, the adapted 3-token ones more than one
+    # lock-step chunk holds, then a repeated request and a bad token id, both
+    # skipped
+    lengths = [3] * (2 * reference._LOCKSTEP_ROWS) + [9, 30, 9, 30]
+    requests = []
+    for seed, n in enumerate(lengths):
+        adapter = None if seed % 4 == 0 else adapters[seed % 3]
+        requests.append((rng.integers(1, cfg.vocab_size, size=n).tolist(), seed, adapter))
+    requests += [requests[1], ([1, cfg.vocab_size], 99, adapters[1])]
     for temperature in (0.0, 1.5):
         lockstep, alone = ReferenceBackend(cfg, params), ReferenceBackend(cfg, params)
         lockstep.prefetch(requests, 24, temperature)
-        distinct = {(tuple(p), s if temperature else None) for p, s in requests[:-1]}
+        distinct = {(tuple(p), s if temperature else None, id(a)) for p, s, a in requests[:-1]}
         assert len(lockstep._memo) == len(distinct), "prefetch left requests undecoded"
-        for prompt, seed in requests[:-1]:
-            want = alone.generate(prompt, 24, temperature, seed=seed)
-            assert lockstep.generate(prompt, 24, temperature, seed=seed) == want, (
+        ends = set()
+        for prompt, seed, adapter in requests[:-1]:
+            want = alone.generate(prompt, 24, temperature, adapter=adapter, seed=seed)
+            got = lockstep.generate(prompt, 24, temperature, adapter=adapter, seed=seed)
+            assert got == want, (
                 f"lock-step output differs for seed {seed} at temperature {temperature}"
             )
+            if adapter is adapters[0]:
+                assert got == alone.generate(prompt, 24, temperature, seed=seed), (
+                    "an identity adapter changed a lock-step output"
+                )
+            if adapter is not None:
+                end = "budget" if len(got) == 24 else "window" if len(prompt) + len(got) == 40 else "eos"
+                ends.add(end)
+        assert len(lockstep._memo) == len(distinct), "generate decoded a prefetched request again"
+        assert ends == {"eos", "budget", "window"}, f"adapted rows only ended at {sorted(ends)}"
+        bad, seed, adapter = requests[-1]
+        try:
+            lockstep.generate(bad, 24, temperature, adapter=adapter, seed=seed)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("generate accepted an out-of-range token id")
 
 
 def check_scorer() -> None:

@@ -145,6 +145,17 @@ class TestGenerate:
             probs = rng.dirichlet(np.full(size, 0.05 if i % 2 else 1.0))
             assert _draw(probs, mine) == ref.choice(size, p=probs)
 
+    def test_draw_over_rows_matches_generator_choice(self):
+        # one generator per row, and rows leaving between draws as in decoding
+        rng = np.random.default_rng(1)
+        mine = [np.random.default_rng(100 + k) for k in range(16)]
+        ref = [np.random.default_rng(100 + k) for k in range(16)]
+        for step in range(1_500):
+            live = [k for k in range(16) if k % (1 + step % 5) == 0]
+            probs = rng.dirichlet(np.full(98, 0.05 if step % 2 else 1.0), size=len(live))
+            want = [ref[k].choice(98, p=row) for k, row in zip(live, probs)]
+            assert _draw(probs, [mine[k] for k in live]) == want
+
 
 @pytest.fixture
 def forward_shapes(monkeypatch):
@@ -316,6 +327,29 @@ class TestPrefetch:
         for message, ids in bad.items():
             with pytest.raises(ValueError, match=message):
                 backend.generate(ids, 8, 2.0, seed=0)
+
+    def test_adapted_outputs_hit_only_for_equal_factor_values(self, random_backend, forward_shapes):
+        backend = random_backend.with_params(random_backend.params)
+        mods = backend.adaptable_modules()
+        adapter = init_adapter(spec_for_all_modules(mods, rank=2, init_seed=1), mods)
+        for a, b in adapter.factors.values():
+            b[:] = 0.1
+        prompt = [1, 2, 3]
+        backend.prefetch([(prompt, 5, adapter)], 12, 2.0)
+        n_forwards = len(forward_shapes)
+        first = backend.generate(prompt, 12, 2.0, adapter=adapter, seed=5)
+        twin = init_adapter(spec_for_all_modules(mods, rank=2, init_seed=1), mods)
+        twin.buffer[:] = adapter.buffer
+        assert backend.generate(prompt, 12, 2.0, adapter=twin, seed=5) == first
+        assert len(forward_shapes) == n_forwards
+        # another value, another scaling or no adapter decodes again
+        twin.buffer[0] += 1.0
+        backend.generate(prompt, 12, 2.0, adapter=twin, seed=5)
+        assert len(forward_shapes) > n_forwards
+        for other in (replace(adapter, spec=replace(adapter.spec, alpha=8.0)), None):
+            n_forwards = len(forward_shapes)
+            backend.generate(prompt, 12, 2.0, adapter=other, seed=5)
+            assert len(forward_shapes) > n_forwards
 
     def test_budget_stop_runs_no_extra_forward(self, counted):
         backend, calls = counted

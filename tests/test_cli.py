@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -384,9 +385,10 @@ class TestCommands:
         assert [r["n_samples"] for r in records] == [1] * 3 + [2] * 3 + [4] * 3 + [8] * 3
         summaries = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:4]]
         assert summaries == [f"self_consistency@{n}" for n in (1, 2, 4, 8)]
-        # each item's 8 samples decode once, together; every other request is a memo hit
+        # the three items' 24 samples decode once, together, in two balanced
+        # lock-step chunks; every other request is a memo hit
         assert len(requests) == 3 * (1 + 2 + 4 + 8)
-        assert sampled == [8, 8, 8]
+        assert sampled == [12, 12]
         assert len(set(requests)) == 3 * 8
 
     def test_compare_checks_every_method_before_running(
@@ -469,6 +471,27 @@ class TestCommands:
             f"error: {command} runs quest's stages only, but the config names method 'tent'\n"
         )
         assert not (tmp_path / "x").exists()
+
+    def test_compare_rejects_a_config_method(self, tmp_path, hybrid_name, bench_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"method": "tent"}))
+        code = run_command(
+            ["compare", "--config", str(path), "--methods", "base", "--backend", hybrid_name,
+             "--benchmark", str(bench_path), "--out", str(tmp_path / "x")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: compare runs the methods of --methods and never reads config key 'method', "
+            "but the config names method 'tent'\n"
+        )
+        assert not (tmp_path / "x").exists()
+        # the default, spelled out, is not a conflict
+        path.write_text(json.dumps({"method": "quest"}))
+        code = run_command(
+            ["compare", "--config", str(path), "--methods", "base", "--backend", hybrid_name,
+             "--benchmark", str(bench_path), "--out", str(tmp_path / "y"), *COMMON]
+        )
+        assert code == 0
 
     @pytest.mark.parametrize(
         "argv, config, message",
@@ -555,36 +578,52 @@ class TestCommands:
             assert run_command(argv + args) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_dispatch_calls_the_patched_functions(
+    def test_sweep_fits_every_item_before_answering(
         self, tmp_path, hybrid_name, bench_path, monkeypatch
     ):
-        """evaluate and compare look engine.quest and engine.tent up when they
-        call them, with the session first and the query second, as a tracer
-        that patches them expects."""
-        calls = []
+        """evaluate and compare run each item's runner from engine.METHODS,
+        with the session first and the query second, in item order, and
+        every item of a method is fitted before any of its answers is read."""
+        events = []
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append((name, type(args[0]).__name__, args[1].id))
-                return fn(*args, **kwargs)
+        def traced(name, run):
+            def runner(session, query, **settings):
+                steps = run(session, query, **settings)
+                requests = next(steps)
+                events.append(("fitted", name, type(session).__name__, query.id))
+                yield requests
+                try:
+                    steps.send(None)
+                except StopIteration as stop:
+                    events.append(("answered", name, query.id))
+                    return stop.value
 
-            return wrapper
+            return runner
 
-        monkeypatch.setattr(engine, "quest", counting("quest", engine.quest))
-        monkeypatch.setattr(engine, "tent", counting("tent", engine.tent))
+        for name in ("base", "quest", "tent"):
+            method = engine.METHODS[name]
+            monkeypatch.setitem(engine.METHODS, name, replace(method, run=traced(name, method.run)))
         ids = ["it0", "it1", "it2"]
-        want = [(name, "ModelSession", i) for name in ("quest", "tent") for i in ids]
+
+        def want(names):
+            return [
+                event
+                for name in names
+                for event in [("fitted", name, "ModelSession", i) for i in ids]
+                + [("answered", name, i) for i in ids]
+            ]
+
         code = run_command(
             ["compare", "--methods", "base,quest,tent", "--backend", hybrid_name,
              "--benchmark", str(bench_path), "--out", str(tmp_path / "c"), *COMMON, "--steps", "1"]
         )
-        assert code == 0 and calls == want
-        calls.clear()
+        assert code == 0 and events == want(["base", "quest", "tent"])
+        events.clear()
         session = ModelSession(backend=StubBackend(lambda prompt, call: ""), seed=0)
         items = [BenchmarkItem(id=i, problem="p", answer="1") for i in ids]
-        for method in ("quest", "tent"):
+        for method in ("base", "quest"):
             evaluate(session, items, method, opt_cfg=OptConfig(steps=1))
-        assert calls == want
+        assert events == want(["base", "quest"])
 
     def test_compare_rejects_repeated_method(self, tmp_path, hybrid_name, bench_path, capsys):
         code = run_command(

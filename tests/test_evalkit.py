@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quest.adapters import spec_for_all_modules
 from quest.backend import ModelSession
+from quest.backend.reference import _RefCore
+from quest.engine import OptConfig
 from quest.evalkit import (
     BenchmarkItem,
     EvalRecord,
@@ -22,6 +26,8 @@ from quest.evalkit import (
     majority_vote,
     normalize_answer,
 )
+
+from quest.supervision import GenConfig, format_answer_prompt
 
 from conftest import StubBackend
 
@@ -335,6 +341,90 @@ class TestEvaluate:
         sess = ModelSession(backend=StubBackend(lambda p, c: "the answer is (B)"), seed=0)
         records, summary = evaluate(sess, items, "base", max_new_tokens=64)
         assert records[0].extracted == "B" and summary["accuracy"] == 1.0
+
+
+class WithoutPrefetch:
+    """A backend with its ``prefetch`` hidden: every ``generate`` decodes."""
+
+    def __init__(self, backend):
+        self._backend = backend
+
+    def __getattr__(self, name):
+        if name == "prefetch":
+            raise AttributeError(name)
+        return getattr(self._backend, name)
+
+
+class SilentOn:
+    """The pattern stub, except that it writes no pairs for one symbol."""
+
+    def __init__(self, stub, sym):
+        self._stub, self._sym = stub, sym
+
+    def __getattr__(self, name):
+        return getattr(self._stub, name)
+
+    def generate(self, prompt, max_new_tokens, temperature, adapter=None, seed=None):
+        if f"Q: {self._sym} ->" in self.detokenize(prompt):
+            return self.tokenize("no pairs here")
+        return self._stub.generate(prompt, max_new_tokens, temperature, seed=seed)
+
+
+class TestLockstepAnswers:
+    """``evaluate`` answers all items together; its records equal those of
+    a backend that decodes every ``generate`` call alone."""
+
+    SETTINGS = dict(
+        gen_cfg=GenConfig(n_pairs=3, max_new_tokens=32, temperature=0.8),
+        opt_cfg=OptConfig(steps=3, lr=3e-3, grad_accumulation=2),
+        sc_samples=4, sc_temperature=0.8, max_new_tokens=16, seed=4, system_prompt="",
+    )
+
+    def _run(self, pattern_world, backend, items, method):
+        ref = pattern_world["backend"]
+        spec = spec_for_all_modules(ref.adaptable_modules(), rank=4, alpha=8)
+        generator = ModelSession(backend=SilentOn(pattern_world["stub"], "k"), seed=0)
+        records, _ = evaluate(
+            ModelSession(backend=backend, seed=0), items, method,
+            adapter_spec=spec, generator_session=generator, **self.SETTINGS,
+        )
+        return [{k: v for k, v in asdict(r).items() if k != "wall_seconds"} for r in records]
+
+    @pytest.mark.parametrize("method", ["base", "tent", "tlm", "quest", "quest_no_lora", "sc"])
+    def test_records_match_decoding_alone(self, pattern_world, method):
+        ref = pattern_world["backend"]
+        items = [
+            BenchmarkItem(id=f"i{k}", problem=f"Q: {sym} ->\nA:", answer=f"{sym}v")
+            for k, sym in enumerate("dkpqr")
+        ]
+        lockstep = self._run(pattern_world, ref.with_params(ref.params), items, method)
+        alone = self._run(pattern_world, WithoutPrefetch(ref.with_params(ref.params)), items, method)
+        assert lockstep == alone
+        assert all(r["error"] is None for r in lockstep)
+        if method == "quest":
+            # item i1 ("k") got no pairs and fell back to the base answer
+            assert [bool(r["loss_trajectory"]) for r in lockstep] == [True, False, True, True, True]
+
+    def test_a_failing_item_keeps_its_error(self, pattern_world, monkeypatch):
+        ref = pattern_world["backend"]
+        items = [BenchmarkItem(id=f"i{k}", problem=f"Q: {sym} ->\nA:", answer="x") for k, sym in enumerate("dkpq")]
+        items.insert(2, BenchmarkItem(id="long", problem="Q: " + "d" * ref.max_len, answer="x"))
+        cached = []
+        forward = _RefCore.forward
+
+        def counting(self, ids, *args, **kwargs):
+            if kwargs.get("kv") is not None:
+                cached.append((np.shape(ids), kwargs.get("start", 0)))
+            return forward(self, ids, *args, **kwargs)
+
+        monkeypatch.setattr(_RefCore, "forward", counting)
+        records = self._run(pattern_world, ref.with_params(ref.params), items, "tent")
+        assert [r["error"] is not None for r in records] == [False, False, True, False, False]
+        assert "exceeds max length" in records[2]["error"]
+        n_prompt = len(ref.tokenize(format_answer_prompt("Q: d ->\nA:", "")))
+        # the four other answers decode as one group, under their own adapters:
+        # each prompt is fed alone, then every step feeds all four rows
+        assert cached[:5] == [((1, n_prompt), 0)] * 4 + [((4, 1), n_prompt)]
 
 
 def make_record(method, item_id, correct, tokens, n_samples=None, seconds=0.25):
