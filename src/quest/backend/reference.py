@@ -23,7 +23,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -37,8 +37,9 @@ _RMS_EPS = 1e-5
 # samples the largest one drew, and quest_no_lora asks again for quest's
 # pair-generation requests. The sweep runs budget-major, so about 8 new
 # entries per benchmark item (budget 8's samples, or 5 pair slots plus
-# retries) come between drawing a request and asking for it again: 144 for
-# 18 items, and 4096 entries keep that reuse for sweeps of about 500 items.
+# retries and the answer) come between drawing a request and asking for it
+# again: 144 for 18 items, and 4096 entries keep that reuse for sweeps of
+# about 500 items.
 # The same bound holds for lock-step answering, which prefetches every item's
 # answers (8 per item at budget 8) before the first is read back.
 # The vocabulary is capped at 128, so an entry holds one byte per token, at
@@ -455,17 +456,14 @@ def _entropy_and_dlogits(logits: np.ndarray) -> tuple[list[float], np.ndarray]:
     return row_h.mean(axis=-1).tolist(), dlogits
 
 
-def _draw(probs: np.ndarray, rngs) -> Union[int, list[int]]:
-    """The index ``rng.choice(V, p=row)`` draws for each row of ``probs``,
-    from the same generator state, without its per-call validation: probs
-    (V,) with one generator gives one index, probs (rows, V) with one
-    generator per row gives a list. Each row takes one ``random()`` from its
+def _draw(probs: np.ndarray, rngs) -> list[int]:
+    """The index ``rng.choice(V, p=row)`` draws for each row of ``probs``
+    (rows, V), one generator per row, from the same generator state, without
+    its per-call validation. Each row takes one ``random()`` from its
     generator, in row order; counting ``cdf <= u`` equals
     ``cdf.searchsorted(u, side="right")`` on a non-decreasing cdf."""
-    cdf = probs.cumsum(axis=-1)
-    cdf /= cdf[..., -1:]
-    if cdf.ndim == 1:
-        return int(cdf.searchsorted(rngs.random(), side="right"))
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
     u = np.array([rng.random() for rng in rngs])
     return (cdf <= u[:, None]).sum(axis=1).tolist()
 
@@ -712,10 +710,12 @@ class ReferenceBackend:
         prompt: Sequence[int],
         max_new_tokens: int,
         temperature: float,
+        adapter: Any,
         seed: Optional[int],
-    ) -> Optional[tuple[np.ndarray, Optional[bytes]]]:
+    ) -> Optional[tuple[tuple, np.ndarray, Optional[bytes]]]:
         """Validate one generate request. Returns None when there is nothing
-        to decode, else the prompt ids and, when sampling, the digest that
+        to decode (no budget, or a prompt that fills the context window),
+        else its memo key, the prompt ids and, when sampling, the digest that
         seeds the sampler."""
         if max_new_tokens < 0:
             raise ValueError("max_new_tokens must be >= 0")
@@ -730,19 +730,17 @@ class ReferenceBackend:
         ids = np.asarray(prompt, dtype=np.intp)
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             raise ValueError("token id out of range")
+        if len(ids) == self.max_len:  # no position is left for a new token
+            return None
         digest = None
         if temperature > 0:
             digest = hashlib.blake2b(
                 (str(seed) + ":" + ",".join(map(str, prompt))).encode(), digest_size=16
             ).digest()
-        return ids, digest
-
-    @staticmethod
-    def _memo_key(ids: np.ndarray, max_new_tokens: int, temperature: float, digest, adapter) -> tuple:
         # the digest seeds the sampler, so it stands for the seed in the key;
         # greedy output does not depend on the seed
-        ids = ids.astype(np.uint8).tobytes()
-        return (ids, max_new_tokens, temperature, digest, _adapter_digest(adapter))
+        key = (ids.astype(np.uint8).tobytes(), max_new_tokens, temperature, digest, _adapter_digest(adapter))
+        return key, ids, digest
 
     def _remember(self, key: tuple, out: list[int]) -> None:
         self._memo[key] = bytes(out)
@@ -759,68 +757,59 @@ class ReferenceBackend:
     ) -> list[int]:
         """Greedy (``temperature == 0``) or sampled continuation of ``prompt``.
 
-        Outputs are kept in a least-recently-used memo of ``_MEMO_ENTRIES``
-        entries, keyed by the prompt, ``max_new_tokens``, ``temperature``,
-        when sampling the seed, and a digest of the adapter's factor bytes
-        and scaling; the base parameters are frozen, so a repeated request
-        decodes to the same tokens. Calls without an adapter store what they
-        decode. Calls with one only read the memo, which ``prefetch`` fills:
-        an adapter changes while it trains, so its outputs are rarely asked
-        for twice.
+        Every output is kept in a least-recently-used memo of
+        ``_MEMO_ENTRIES`` entries, keyed by the prompt, ``max_new_tokens``,
+        ``temperature``, when sampling the seed, and a digest of the adapter's
+        factor bytes and scaling; the base parameters are frozen, so a
+        repeated request decodes to the same tokens. ``prefetch`` fills the
+        same memo.
         """
-        request = self._request(prompt, max_new_tokens, temperature, seed)
+        request = self._request(prompt, max_new_tokens, temperature, adapter, seed)
         if request is None:
             return []
-        ids, digest = request
-        key = self._memo_key(ids, max_new_tokens, temperature, digest, adapter)
+        key, ids, digest = request
         hit = self._memo.get(key)
         if hit is not None:
             self._memo.move_to_end(key)
             return list(hit)
         out = self._decode(ids[None], max_new_tokens, temperature, [adapter], [digest])[0]
-        if adapter is None:
-            self._remember(key, out)
+        self._remember(key, out)
         return out
 
-    def prefetch(
-        self,
-        requests: Sequence[tuple],
-        max_new_tokens: int,
-        temperature: float = 0.0,
-    ) -> list[float]:
-        """Decode ``(prompt, seed)`` or ``(prompt, seed, adapter)`` requests
-        in lock-step into the generate memo, so the ``generate`` calls that
-        follow are hits. Returns each request's share of the decoding time,
+    def prefetch(self, requests: Sequence[tuple]) -> list[float]:
+        """Decode requests in lock-step into the generate memo, so the
+        ``generate`` calls that follow are hits. Each request is
+        ``generate``'s arguments, ``(prompt, max_new_tokens, temperature,
+        adapter, seed)``. Returns each request's share of the decoding time,
         in seconds.
 
-        Requests group by prompt length and adapter spec (targets, factor
-        shapes and scaling; or no adapter), and each group decodes in
-        balanced chunks of at most ``_LOCKSTEP_ROWS`` rows: one forward over
-        the chunk's prompts, then one forward per step for all of its rows,
-        each row under its own adapter and sampling with its own seed. Its
-        output is the one ``generate`` alone would give, bit for bit. A
-        chunk's time is shared equally by its rows. Requests already in the
-        memo, repeated ones and ones ``generate`` rejects are skipped, so
-        ``generate`` still raises for the last.
+        Requests group by prompt length, ``max_new_tokens``, ``temperature``
+        and adapter spec (targets, factor shapes and scaling; or no adapter),
+        and each group decodes in balanced chunks of at most
+        ``_LOCKSTEP_ROWS`` rows: one forward over the chunk's prompts, then
+        one forward per step for all of its rows, each row under its own
+        adapter and sampling with its own seed. Its output is the one
+        ``generate`` alone would give, bit for bit. A chunk's time is shared
+        equally by its rows. Requests already in the memo, repeated ones,
+        ones with nothing to decode and ones ``generate`` rejects are
+        skipped, so ``generate`` still raises for the last.
         """
         seconds = [0.0] * len(requests)
         groups: dict[tuple, dict[tuple, tuple]] = {}
-        for index, (prompt, seed, *adapter) in enumerate(requests):
-            adapter = adapter[0] if adapter else None
+        for index, (prompt, max_new_tokens, temperature, adapter, seed) in enumerate(requests):
             try:
-                request = self._request(prompt, max_new_tokens, temperature, seed)
+                request = self._request(prompt, max_new_tokens, temperature, adapter, seed)
             except ValueError:
                 continue
-            if request is None:  # max_new_tokens is 0: nothing to decode
-                return seconds
-            ids, digest = request
-            key = self._memo_key(ids, max_new_tokens, temperature, digest, adapter)
+            if request is None:
+                continue
+            key, ids, digest = request
             if key in self._memo:
                 self._memo.move_to_end(key)
                 continue
-            group = groups.setdefault((len(ids), _spec_key(adapter)), {})
-            group.setdefault(key, (index, ids, digest, adapter))
-        for group in groups.values():
+            setting = (len(ids), max_new_tokens, temperature, _spec_key(adapter))
+            groups.setdefault(setting, {}).setdefault(key, (index, ids, digest, adapter))
+        for (_, max_new_tokens, temperature, _), group in groups.items():
             rows = list(group.items())
             n_chunks = -(-len(rows) // _LOCKSTEP_ROWS)
             bounds = [len(rows) * c // n_chunks for c in range(n_chunks + 1)]
@@ -846,8 +835,9 @@ class ReferenceBackend:
         adapters: Sequence[Any],
         digests: Sequence[Optional[bytes]],
     ) -> list[list[int]]:
-        """Continue B prompts of one length, ``ids`` (B, P), in lock-step,
-        row b under ``adapters[b]`` (all None, or all of one spec).
+        """Continue B prompts of one length, ``ids`` (B, P) with P below the
+        context window, in lock-step, row b under ``adapters[b]`` (all None,
+        or all of one spec).
 
         The prompts fill the key/value cache, in one forward without
         adapters or one per adapted row; each step then feeds one token per

@@ -51,14 +51,15 @@ class Backend(Protocol):
     examples draw from it in example order. Without it the loss is the
     eval-mode loss, and ``adapter=None`` gives the base model's.
 
-    A backend may also offer ``prefetch(requests, max_new_tokens,
-    temperature)``: it decodes ``(prompt, seed)`` or ``(prompt, seed,
-    adapter)`` requests together so that the ``generate`` calls that follow,
-    with the same arguments and an adapter of equal factor values, return
-    their outputs without decoding again. It returns one number per request,
-    the seconds of decoding charged to it. It is optional; callers look it up
-    with ``getattr`` and otherwise call ``generate`` alone, which must return
-    the same tokens either way.
+    A backend may also offer ``prefetch(requests)``. Each request is
+    ``generate``'s arguments, ``(prompt, max_new_tokens, temperature,
+    adapter, seed)``; callers hand it exactly the requests they are about to
+    read back through ``generate``. The backend alone decides which of them
+    decode together, so that those ``generate`` calls (an adapter of equal
+    factor values counts as the same) return without decoding again. It
+    returns one number per request, the seconds of decoding charged to it.
+    It is optional; callers look it up with ``getattr`` and otherwise call
+    ``generate`` alone, which must return the same tokens either way.
     """
 
     name: str

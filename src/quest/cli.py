@@ -7,7 +7,7 @@ sampling curve), ``selftest`` (invariant suite on the reference backend).
 
 Configuration precedence is flags > config file > defaults; the resolved
 config is echoed into the run directory as JSON and can be fed back in with
-``--config``. ``QUEST_RUN_DIR`` overrides the output directory.
+``--config``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
-import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, replace
@@ -143,9 +142,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         raise ValueError(f"sc_temperature must be > 0, got {cfg.sc_temperature}")
     if cfg.answer_max_new_tokens < 1:
         raise ValueError(f"answer_max_new_tokens must be >= 1, got {cfg.answer_max_new_tokens}")
-    run_dir = os.environ.get("QUEST_RUN_DIR")
-    if run_dir:
-        cfg = replace(cfg, out_dir=run_dir)
     return cfg
 
 
@@ -290,6 +286,10 @@ def _cmd_adapt(args) -> int:
             raise FileNotFoundError(f"{pairs_path} (run `generate` first)")
         pairs = load_pairs(pairs_path)
         if not pairs:
+            # answer then uses the base model, as the fused pipeline does,
+            # not an adapter an earlier run left here
+            for stale in ("adapter.qsta", "telemetry.json"):
+                (qdir / stale).unlink(missing_ok=True)
             print(f"{item.id}: no pairs, skipping adaptation")
             continue
         seeds = derive_item_seeds(cfg.seed, item.id)

@@ -24,7 +24,7 @@ import logging
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Generator, Optional, Sequence, Union
+from typing import Any, Callable, Generator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -192,10 +192,10 @@ def adapt(
     return adapter, telemetry
 
 
-@dataclass(frozen=True)
-class AnswerRequest:
+class AnswerRequest(NamedTuple):
     """One decode a runner asks for before it reads the tokens back through
-    ``backend.generate``; the fields are ``generate``'s arguments."""
+    ``backend.generate``: ``generate``'s arguments, in its order, and so a
+    request ``prefetch`` takes."""
 
     prompt: list[int]
     max_new_tokens: int
@@ -208,6 +208,9 @@ class AnswerRequest:
 # adaptation), yields its answer requests, and once resumed reads them
 # back and returns its result.
 Runner = Generator[list[AnswerRequest], None, Any]
+
+# How a runner reads the answer out of its text; evalkit passes the item's.
+Extract = Callable[[str], Optional[str]]
 
 
 def _generated(backend, requests: list[AnswerRequest]) -> Generator[Any, None, list[list[int]]]:
@@ -222,12 +225,12 @@ def _generated(backend, requests: list[AnswerRequest]) -> Generator[Any, None, l
 def run_together(backend, runners: Sequence[Runner]) -> list[tuple[Any, float]]:
     """Run ``runners`` side by side and answer their requests in lock-step.
 
-    Each runner runs up to its yield; one ``prefetch`` per (max_new_tokens,
-    temperature) then decodes every request into the backend's memo, and
-    each runner, resumed, reads its tokens back through ``generate``.
-    Returns per runner its return value, or the exception it raised, and
-    its seconds: its own running time plus its requests' shares of the
-    decoding. Without ``prefetch`` every ``generate`` call decodes.
+    Each runner runs up to its yield; one ``prefetch`` of every runner's
+    requests then decodes them into the backend's memo, and each runner,
+    resumed, reads its tokens back through ``generate``. Returns per runner
+    its return value, or the exception it raised, and its seconds: its own
+    running time plus its requests' shares of the decoding. Without
+    ``prefetch`` every ``generate`` call decodes.
     """
     outcomes: list[Any] = [None] * len(runners)
     seconds = [0.0] * len(runners)
@@ -245,16 +248,9 @@ def run_together(backend, runners: Sequence[Runner]) -> list[tuple[Any, float]]:
                 outcomes[i] = exc
             seconds[i] += time.perf_counter() - t0
         running = [i for i, _ in asked]
-        if prefetch is None:
-            continue
-        settings: dict[tuple, list[tuple[int, AnswerRequest]]] = {}
-        for i, requests in asked:
-            for r in requests:
-                settings.setdefault((r.max_new_tokens, r.temperature), []).append((i, r))
-        for (max_new_tokens, temperature), rows in settings.items():
-            requests = [(r.prompt, r.seed, r.adapter) for _, r in rows]
-            shares = prefetch(requests, max_new_tokens, temperature)
-            for (i, _), share in zip(rows, shares):
+        rows = [(i, r) for i, requests in asked for r in requests]
+        if prefetch is not None and rows:
+            for (i, _), share in zip(rows, prefetch([r for _, r in rows])):
                 seconds[i] += share
     return list(zip(outcomes, seconds))
 
@@ -303,9 +299,11 @@ def generate_answer(
     return _alone(session, _answer(session, query, adapter, max_new_tokens))[0]
 
 
-def _base_steps(session: ModelSession, query: Query, max_new_tokens: int) -> Runner:
+def _base_steps(
+    session: ModelSession, query: Query, max_new_tokens: int, extract: Extract = extract_boxed
+) -> Runner:
     text, n_tokens = yield from _answer(session, query, None, max_new_tokens)
-    return MethodResult(text, extract_boxed(text), AdaptTelemetry(generated_tokens=n_tokens))
+    return MethodResult(text, extract(text), AdaptTelemetry(generated_tokens=n_tokens))
 
 
 def base_answer(
@@ -324,6 +322,7 @@ def _quest_steps(
     conditioned: bool,
     generator_session: Optional[ModelSession],
     max_new_tokens: int,
+    extract: Extract = extract_boxed,
 ) -> Runner:
     gen_session = generator_session if generator_session is not None else session
     if conditioned:
@@ -340,7 +339,7 @@ def _quest_steps(
         )
     text, n_answer = yield from _answer(session, query, adapter, max_new_tokens)
     telemetry.generated_tokens = gen.generated_tokens + n_answer
-    return MethodResult(text, extract_boxed(text), telemetry)
+    return MethodResult(text, extract(text), telemetry)
 
 
 def quest(
@@ -387,6 +386,7 @@ def _no_lora_steps(
     gen_cfg: GenConfig,
     generator_session: Optional[ModelSession],
     max_new_tokens: int,
+    extract: Extract = extract_boxed,
 ) -> Runner:
     gen_session = generator_session if generator_session is not None else session
     gen = generate_dataset(gen_session, query, gen_cfg)
@@ -399,7 +399,7 @@ def _no_lora_steps(
     telemetry = AdaptTelemetry(
         generated_tokens=gen.generated_tokens + len(out), pairs_used=len(gen.pairs)
     )
-    return MethodResult(text, extract_boxed(text), telemetry)
+    return MethodResult(text, extract(text), telemetry)
 
 
 def quest_no_lora(
@@ -421,6 +421,7 @@ def _objective_steps(
     opt_cfg: OptConfig,
     loss: str,
     max_new_tokens: int,
+    extract: Extract = extract_boxed,
 ) -> Runner:
     """Shared TENT/TLM steps: train on the query text alone, then answer.
 
@@ -431,7 +432,7 @@ def _objective_steps(
     adapter, telemetry = _train(session, [example], spec, opt_cfg, loss=loss)
     text, n_answer = yield from _answer(session, query, adapter, max_new_tokens)
     telemetry.generated_tokens += n_answer
-    return MethodResult(text, extract_boxed(text), telemetry)
+    return MethodResult(text, extract(text), telemetry)
 
 
 def tent(
@@ -465,7 +466,7 @@ def _sc_steps(
     n_samples: int,
     temperature: float,
     max_new_tokens: int,
-    extract: Callable[[str], Optional[str]],
+    extract: Extract = extract_boxed,
 ) -> Runner:
     check_sampling(n_samples, temperature)
     prompt_ids = _answer_prompt_ids(session, query)
@@ -495,7 +496,7 @@ def self_consistency(
     temperature: float,
     *,
     max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
-    extract: Callable[[str], Optional[str]] = extract_boxed,
+    extract: Extract = extract_boxed,
 ) -> MethodResult:
     """Sample n completions and majority-vote their extracted answers."""
     return _timed(session, _sc_steps(session, query, n_samples, temperature, max_new_tokens, extract))
@@ -526,18 +527,20 @@ class Method:
 # Each runner takes what it needs of the settings ``evalkit.evaluate`` passes.
 # The public function of each method runs the same runner alone.
 METHODS = {
-    "base": Method(lambda s, q, *, max_new_tokens, **_: _base_steps(s, q, max_new_tokens)),
+    "base": Method(
+        lambda s, q, *, max_new_tokens, extract, **_: _base_steps(s, q, max_new_tokens, extract)
+    ),
     "quest": Method(
-        lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, **_:
-        _quest_steps(s, q, gen_cfg, spec, opt_cfg, True, generator_session, max_new_tokens)
+        lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, extract, **_:
+        _quest_steps(s, q, gen_cfg, spec, opt_cfg, True, generator_session, max_new_tokens, extract)
     ),
     "tent": Method(
-        lambda s, q, *, spec, opt_cfg, max_new_tokens, **_:
-        _objective_steps(s, q, spec, opt_cfg, "entropy", max_new_tokens)
+        lambda s, q, *, spec, opt_cfg, max_new_tokens, extract, **_:
+        _objective_steps(s, q, spec, opt_cfg, "entropy", max_new_tokens, extract)
     ),
     "tlm": Method(
-        lambda s, q, *, spec, opt_cfg, max_new_tokens, **_:
-        _objective_steps(s, q, spec, opt_cfg, "nll", max_new_tokens)
+        lambda s, q, *, spec, opt_cfg, max_new_tokens, extract, **_:
+        _objective_steps(s, q, spec, opt_cfg, "nll", max_new_tokens, extract)
     ),
     "self_consistency": Method(
         lambda s, q, *, n_samples, temperature, max_new_tokens, extract, **_:
@@ -546,12 +549,12 @@ METHODS = {
         alias="sc",
     ),
     "quest_no_query": Method(
-        lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, **_:
-        _quest_steps(s, q, gen_cfg, spec, opt_cfg, False, generator_session, max_new_tokens)
+        lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, extract, **_:
+        _quest_steps(s, q, gen_cfg, spec, opt_cfg, False, generator_session, max_new_tokens, extract)
     ),
     "quest_no_lora": Method(
-        lambda s, q, *, gen_cfg, generator_session, max_new_tokens, **_:
-        _no_lora_steps(s, q, gen_cfg, generator_session, max_new_tokens)
+        lambda s, q, *, gen_cfg, generator_session, max_new_tokens, extract, **_:
+        _no_lora_steps(s, q, gen_cfg, generator_session, max_new_tokens, extract)
     ),
 }
 

@@ -372,11 +372,10 @@ def evaluate(
                 wall_seconds=seconds, gold=item.answer,
                 n_samples=n_samples, error=f"{type(result).__name__}: {result}",
             )
+        extracted = result.extracted  # by the item's own ``extract``
         if item.mode == "choice-letter":
-            extracted = extract_choice(result.answer_text, len(item.choices))
             correct = extracted is not None and extracted == item.answer.strip().upper()
         else:
-            extracted = result.extracted
             correct = extracted is not None and answers_equivalent(extracted, item.answer)
         return EvalRecord(
             item_id=item.id, method=method, raw_output=result.answer_text,

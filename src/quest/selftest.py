@@ -137,8 +137,10 @@ def check_frozen_base(session, query, n_pairs: int, steps: int, generator_sessio
 
 
 def check_prefetch_matches_generate() -> None:
-    """``prefetch`` then ``generate`` returns what ``generate`` alone decodes,
-    with and without adapters, and ``prefetch`` decodes each request once."""
+    """One ``prefetch`` of mixed requests (with and without adapters, greedy
+    and sampled, two budgets), then ``generate``, returns what ``generate``
+    alone decodes; ``prefetch`` decodes each request once, and a prompt that
+    fills the context window decodes nothing."""
     cfg = RefConfig(charset="abcdefgh <>/:\n", n_layer=2, d_model=32, n_head=4, max_len=40)
     rng = np.random.default_rng(5)
     params = {name: rng.normal(0, 0.3, shape) for name, shape in param_shapes(cfg).items()}
@@ -148,42 +150,43 @@ def check_prefetch_matches_generate() -> None:
     for adapter in adapters[1:]:
         _random_factors(adapter, rng, 0.3)
     # prompts of three lengths, the adapted 3-token ones more than one
-    # lock-step chunk holds, then a repeated request and a bad token id, both
-    # skipped
+    # lock-step chunk holds, each greedy and sampled
     lengths = [3] * (2 * reference._LOCKSTEP_ROWS) + [9, 30, 9, 30]
     requests = []
     for seed, n in enumerate(lengths):
+        prompt = rng.integers(1, cfg.vocab_size, size=n).tolist()
         adapter = None if seed % 4 == 0 else adapters[seed % 3]
-        requests.append((rng.integers(1, cfg.vocab_size, size=n).tolist(), seed, adapter))
-    requests += [requests[1], ([1, cfg.vocab_size], 99, adapters[1])]
-    for temperature in (0.0, 1.5):
-        lockstep, alone = ReferenceBackend(cfg, params), ReferenceBackend(cfg, params)
-        lockstep.prefetch(requests, 24, temperature)
-        distinct = {(tuple(p), s if temperature else None, id(a)) for p, s, a in requests[:-1]}
-        assert len(lockstep._memo) == len(distinct), "prefetch left requests undecoded"
-        ends = set()
-        for prompt, seed, adapter in requests[:-1]:
-            want = alone.generate(prompt, 24, temperature, adapter=adapter, seed=seed)
-            got = lockstep.generate(prompt, 24, temperature, adapter=adapter, seed=seed)
-            assert got == want, (
-                f"lock-step output differs for seed {seed} at temperature {temperature}"
+        budget = 5 if seed % 5 == 0 else 24
+        requests += [(prompt, budget, temperature, adapter, seed) for temperature in (0.0, 1.5)]
+    # then a repeat, a full-window prompt and a bad token id, all skipped
+    full = rng.integers(1, cfg.vocab_size, size=cfg.max_len).tolist()
+    skipped = [requests[3], (full, 24, 0.0, None, 0), (full, 24, 1.5, adapters[1], 0)]
+    lockstep, alone = ReferenceBackend(cfg, params), ReferenceBackend(cfg, params)
+    lockstep.prefetch(requests + skipped + [([1, cfg.vocab_size], 24, 1.5, adapters[1], 99)])
+    distinct = {(tuple(p), m, t, s if t else None, id(a)) for p, m, t, a, s in requests}
+    assert len(lockstep._memo) == len(distinct), "prefetch left requests undecoded"
+    ends = set()
+    for prompt, budget, temperature, adapter, seed in requests + skipped:
+        want = alone.generate(prompt, budget, temperature, adapter=adapter, seed=seed)
+        got = lockstep.generate(prompt, budget, temperature, adapter=adapter, seed=seed)
+        assert got == want, f"lock-step output differs for seed {seed} at temperature {temperature}"
+        if adapter is adapters[0]:
+            assert got == alone.generate(prompt, budget, temperature, seed=seed), (
+                "an identity adapter changed a lock-step output"
             )
-            if adapter is adapters[0]:
-                assert got == alone.generate(prompt, 24, temperature, seed=seed), (
-                    "an identity adapter changed a lock-step output"
-                )
-            if adapter is not None:
-                end = "budget" if len(got) == 24 else "window" if len(prompt) + len(got) == 40 else "eos"
-                ends.add(end)
-        assert len(lockstep._memo) == len(distinct), "generate decoded a prefetched request again"
-        assert ends == {"eos", "budget", "window"}, f"adapted rows only ended at {sorted(ends)}"
-        bad, seed, adapter = requests[-1]
-        try:
-            lockstep.generate(bad, 24, temperature, adapter=adapter, seed=seed)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("generate accepted an out-of-range token id")
+        if len(prompt) == cfg.max_len:
+            assert got == [], "a prompt that fills the context window decoded a token"
+        elif adapter is not None:
+            end = "budget" if len(got) == budget else "window" if len(prompt) + len(got) == 40 else "eos"
+            ends.add(end)
+    assert len(lockstep._memo) == len(distinct), "generate decoded a prefetched request again"
+    assert ends == {"eos", "budget", "window"}, f"adapted rows only ended at {sorted(ends)}"
+    try:
+        lockstep.generate([1, cfg.vocab_size], 24, 1.5, adapter=adapters[1], seed=99)
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("generate accepted an out-of-range token id")
 
 
 def check_scorer() -> None:

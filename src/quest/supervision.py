@@ -163,41 +163,36 @@ def _generate_pairs(
     backend = session.backend
     prompts = {i: backend.tokenize(prompt_for(i)) for i in range(1, cfg.n_pairs + 1)}
     prefetch = getattr(backend, "prefetch", None)
-    if prefetch is not None:
-        # every slot's first attempt decodes in lock-step; retries decode alone
-        prefetch(
-            [(ids, derive_seed(session.seed, "pairgen", i, 0)) for i, ids in prompts.items()],
-            cfg.max_new_tokens,
-            cfg.temperature,
-        )
-    pairs: list[AuxPair] = []
+    pairs: dict[int, AuxPair] = {}
     total_tokens = 0
     calls = 0
-    for i, prompt_ids in prompts.items():
-        for attempt in range(cfg.max_parse_retries + 1):
+    open_slots = list(prompts)
+    # each attempt round's open slots decode together; a slot closes on a
+    # pair or on a generation error
+    for attempt in range(cfg.max_parse_retries + 1):
+        seeds = {i: derive_seed(session.seed, "pairgen", i, attempt) for i in open_slots}
+        if prefetch is not None and seeds:
+            prefetch([(prompts[i], cfg.max_new_tokens, cfg.temperature, None, s) for i, s in seeds.items()])
+        open_slots = []
+        for i, seed in seeds.items():
             calls += 1
             try:
                 out = backend.generate(
-                    prompt_ids,
-                    cfg.max_new_tokens,
-                    cfg.temperature,
-                    adapter=None,
-                    seed=derive_seed(session.seed, "pairgen", i, attempt),
+                    prompts[i], cfg.max_new_tokens, cfg.temperature, adapter=None, seed=seed
                 )
             except ValueError as exc:
                 log.warning("pair %d attempt %d: generation failed (%s)", i, attempt, exc)
-                break
+                continue
             total_tokens += len(out)
             parsed = parse_pairs(backend.detokenize(out))
             if isinstance(parsed, ParseFailure):
                 log.debug("pair %d attempt %d: %s", i, attempt, parsed.reason)
+                open_slots.append(i)
                 continue
-            first = parsed[0]
-            pairs.append(
-                replace(first, source_index=i, conditioned=conditioned, gen_tokens=len(out))
-            )
-            break
-    return DatasetGeneration(pairs=tuple(pairs), generated_tokens=total_tokens, calls=calls)
+            pairs[i] = replace(parsed[0], source_index=i, conditioned=conditioned, gen_tokens=len(out))
+    return DatasetGeneration(
+        pairs=tuple(pairs[i] for i in sorted(pairs)), generated_tokens=total_tokens, calls=calls
+    )
 
 
 def generate_dataset(session: ModelSession, query: Query, cfg: GenConfig) -> DatasetGeneration:

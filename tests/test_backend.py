@@ -115,9 +115,25 @@ class TestGenerate:
         assert fast == slow
 
     def test_stays_within_context_window(self, ab_backend):
-        prompt = ab_backend.tokenize("ab")
-        out = ab_backend.generate(prompt, 10_000, 0.9, seed=1)
-        assert len(prompt) + len(out) <= ab_backend.max_len
+        window = ab_backend.max_len
+        # a short prompt, prompts one token short of the window, and prompts
+        # that fill it, which decode nothing
+        prompts = [ab_backend.tokenize(text) for text in ("ab", ("ab" * 16)[1:], ("ba" * 16)[1:])]
+        prompts += [ab_backend.tokenize(text) for text in ("ab" * 16, "ba" * 16, "b" * window)]
+        for temperature in (0.0, 0.9):
+            for prefetched in (False, True):
+                backend = ab_backend.with_params(ab_backend.params)
+                if prefetched:
+                    backend.prefetch([(p, 10_000, temperature, None, 1) for p in prompts])
+                for prompt in prompts:
+                    out = backend.generate(prompt, 10_000, temperature, seed=1)
+                    assert len(prompt) + len(out) <= window
+                    backend.forward_logits(prompt + out)  # the sequence fits the model
+                    if len(prompt) == window:
+                        assert out == []
+                # token ids of a full-window prompt are still checked
+                with pytest.raises(ValueError, match="token id out of range"):
+                    backend.generate(prompts[-1][:-1] + [backend.vocab_size], 1, temperature, seed=1)
 
     # outputs of the token-at-a-time decoder this one replaced, on the same model
     @pytest.mark.parametrize(
@@ -138,12 +154,13 @@ class TestGenerate:
         assert ab_backend.detokenize(out) == want
 
     def test_draw_matches_generator_choice(self):
+        # one row over many vocabulary sizes
         rng = np.random.default_rng(0)
         mine, ref = np.random.default_rng(123), np.random.default_rng(123)
         for i in range(12_000):
             size = 2 + i % 97
             probs = rng.dirichlet(np.full(size, 0.05 if i % 2 else 1.0))
-            assert _draw(probs, mine) == ref.choice(size, p=probs)
+            assert _draw(probs[None], [mine]) == [ref.choice(size, p=probs)]
 
     def test_draw_over_rows_matches_generator_choice(self):
         # one generator per row, and rows leaving between draws as in decoding
@@ -189,18 +206,21 @@ class TestGenerateMemo:
             assert len(calls) == n
             calls.clear()
 
-    def test_adapter_calls_always_decode(self, counted):
+    def test_adapted_decode_hits_the_second_time(self, counted):
         backend, calls = counted
         mods = backend.adaptable_modules()
         adapter = init_adapter(spec_for_all_modules(mods, rank=2, alpha=4.0), mods)
         prompt = backend.tokenize("ab")
-        first = backend.generate(prompt, 10, 0.0, adapter=adapter)
-        n = len(calls)
-        assert backend.generate(prompt, 10, 0.0, adapter=adapter) == first
-        assert len(calls) == 2 * n
-        # nor do they fill the memo for adapter-free calls
-        assert backend.generate(prompt, 10, 0.0) == first
-        assert len(calls) == 3 * n
+        for temperature, seed in ((0.0, None), (2.0, 7)):
+            first = backend.generate(prompt, 10, temperature, adapter=adapter, seed=seed)
+            n = len(calls)
+            assert n > 0
+            assert backend.generate(prompt, 10, temperature, adapter=adapter, seed=seed) == first
+            assert len(calls) == n
+            # the entry is the adapter's: an adapter-free call decodes
+            assert backend.generate(prompt, 10, temperature, seed=seed) == first
+            assert len(calls) == 2 * n
+            calls.clear()
 
     def test_greedy_hits_across_seeds_sampled_do_not(self, counted):
         backend, calls = counted
@@ -267,7 +287,7 @@ class TestPrefetch:
     def test_matches_generate_alone(self, random_backend, forward_shapes, temperature):
         backend = random_backend.with_params(random_backend.params)
         requests = _mixed_requests(backend)
-        backend.prefetch(requests, 24, temperature)
+        backend.prefetch([(p, 24, temperature, None, s) for p, s in requests])
         # one prefill per prompt length, each over all of its rows
         prefills = [shape for shape in forward_shapes if shape[1] > 1]
         assert prefills == [(4, 3), (3, 12), (3, 50)]
@@ -281,7 +301,7 @@ class TestPrefetch:
     def test_rows_leave_at_eos_budget_and_window_on_different_steps(self, random_backend, temperature):
         backend = random_backend.with_params(random_backend.params)
         requests = _mixed_requests(backend)
-        backend.prefetch(requests, 24, temperature)
+        backend.prefetch([(p, 24, temperature, None, s) for p, s in requests])
         twin = random_backend.with_params(random_backend.params)
         ends = {}
         for prompt, seed in requests:
@@ -303,7 +323,8 @@ class TestPrefetch:
         (a, sa), (b, sb), (c, sc) = _mixed_requests(backend)[:3]
         want_a = backend.generate(a, 24, 2.0, seed=sa)
         forward_shapes.clear()
-        backend.prefetch([(a, sa), (b, sb), (b, sb), (c, sc), (b, sb)], 24, 2.0)
+        repeated = [(a, sa), (b, sb), (b, sb), (c, sc), (b, sb)]
+        backend.prefetch([(p, 24, 2.0, None, s) for p, s in repeated])
         assert [shape for shape in forward_shapes if shape[1] > 1] == [(1, 12), (1, 50)]
         n_forwards = len(forward_shapes)
         assert backend.generate(a, 24, 2.0, seed=sa) == want_a
@@ -319,7 +340,7 @@ class TestPrefetch:
             "exceeds max length": [1] * (backend.max_len + 1),
             "empty prompt": [],
         }
-        backend.prefetch([(good, 0)] + [(ids, 0) for ids in bad.values()], 8, 2.0)
+        backend.prefetch([(ids, 8, 2.0, None, 0) for ids in [good, *bad.values()]])
         assert [shape for shape in forward_shapes if shape[1] > 1] == [(1, 3)]
         n_forwards = len(forward_shapes)
         backend.generate(good, 8, 2.0, seed=0)
@@ -335,7 +356,7 @@ class TestPrefetch:
         for a, b in adapter.factors.values():
             b[:] = 0.1
         prompt = [1, 2, 3]
-        backend.prefetch([(prompt, 5, adapter)], 12, 2.0)
+        backend.prefetch([(prompt, 12, 2.0, adapter, 5)])
         n_forwards = len(forward_shapes)
         first = backend.generate(prompt, 12, 2.0, adapter=adapter, seed=5)
         twin = init_adapter(spec_for_all_modules(mods, rank=2, init_seed=1), mods)
@@ -351,11 +372,29 @@ class TestPrefetch:
             backend.generate(prompt, 12, 2.0, adapter=other, seed=5)
             assert len(forward_shapes) > n_forwards
 
+    def test_one_call_groups_by_budget_and_temperature(self, random_backend, forward_shapes):
+        backend = random_backend.with_params(random_backend.params)
+        (a, _), (b, _), _, (c, _) = _mixed_requests(backend)[:4]
+        settings = [(24, 0.0), (24, 2.0), (8, 2.0), (0, 2.0)]
+        requests = [(p, n, t, None, s) for s, (n, t) in enumerate(settings) for p in (a, c)]
+        requests.append((b, 8, 2.0, None, 2))
+        shares = backend.prefetch(requests)
+        # one prefill per setting and prompt length; a zero budget skips only
+        # its own requests
+        prefills = [shape for shape in forward_shapes if shape[1] > 1]
+        assert prefills == [(2, 3), (2, 3), (2, 3), (1, 12)]
+        assert [share > 0 for share in shares] == [True] * 6 + [False] * 2 + [True]
+        n_forwards = len(forward_shapes)
+        lockstep = [backend.generate(*request) for request in requests]
+        assert len(forward_shapes) == n_forwards
+        twin = random_backend.with_params(random_backend.params)
+        assert lockstep == [twin.generate(*request) for request in requests]
+
     def test_budget_stop_runs_no_extra_forward(self, counted):
         backend, calls = counted
         prompts = [backend.tokenize(text) for text in ("ab", "ba", "bb")]
         # these continue the pattern for 22 tokens before any end-of-sequence
-        backend.prefetch([(p, None) for p in prompts], 8, 0.0)
+        backend.prefetch([(p, 8, 0.0, None, None) for p in prompts])
         assert calls == [(3, 2)] + [(3, 1)] * 7
         assert all(len(backend.generate(p, 8, 0.0)) == 8 for p in prompts)
         # the one-row miss path of generate is the same loop

@@ -112,8 +112,7 @@ TAKES = {
 
 
 class TestLoadConfig:
-    def test_pure_defaults(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("QUEST_RUN_DIR", raising=False)
+    def test_pure_defaults(self, tmp_path):
         check_config_defaults()
         assert load_config() == RunConfig()
         # final answers are always greedy; there is no knob for it
@@ -206,10 +205,6 @@ class TestLoadConfig:
         assert "seed" not in json.loads(path.read_text())["optimization"]
         assert load_config(path) == cfg
 
-    def test_env_var_overrides_out_dir(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("QUEST_RUN_DIR", str(tmp_path / "env-run"))
-        assert load_config().out_dir == str(tmp_path / "env-run")
-
 
 class TestCommands:
     def test_selftest_exit_zero(self, capsys):
@@ -269,6 +264,26 @@ class TestCommands:
         # the staged pipeline actually adapted (answers carry trained pairs)
         assert any(json.loads(p)["problem"] for p in
                    (staged / "it0" / "pairs.jsonl").read_text().splitlines())
+
+    def test_adapt_without_pairs_removes_a_stale_adapter(self, tmp_path, hybrid_name, bench_path):
+        out = tmp_path / "staged"
+        run = ["--backend", hybrid_name, "--benchmark", str(bench_path), "--item-id", "it0", "--seed", "9"]
+        adapt = ["adapt", "--rank", "8", "--alpha", "16", "--steps", "30", "--lr", "3e-3",
+                 "--system-prompt", "", "--out", str(out)] + run
+        assert run_command(["generate", "--pairs", "5", "--gen-max-new", "64", "--out", str(out)] + run) == 0
+        assert run_command(adapt) == 0
+        assert (out / "it0" / "adapter.qsta").exists()
+        # a later run generated no pairs: its answer is the base model's, as
+        # in the fused pipeline, not the earlier run's adapter's
+        (out / "it0" / "pairs.jsonl").write_text("")
+        assert run_command(adapt) == 0
+        assert not (out / "it0" / "adapter.qsta").exists()
+        assert not (out / "it0" / "telemetry.json").exists()
+        answer = ["answer", "--answer-max-new", "16", "--system-prompt", ""] + run
+        assert run_command(answer + ["--out", str(out)]) == 0
+        assert run_command(answer + ["--out", str(tmp_path / "base")]) == 0
+        base = (tmp_path / "base" / "it0" / "answer.txt").read_text()
+        assert (out / "it0" / "answer.txt").read_text() == base
 
     def test_compare_writes_curve_with_quest_point(self, tmp_path, hybrid_name, bench_path):
         out = tmp_path / "cmp"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from quest.adapters import spec_for_all_modules
 from quest.backend import ModelSession
 from quest.backend.reference import _RefCore
+from quest import engine
 from quest.engine import OptConfig
 from quest.evalkit import (
     BenchmarkItem,
@@ -27,7 +28,7 @@ from quest.evalkit import (
     normalize_answer,
 )
 
-from quest.supervision import GenConfig, format_answer_prompt
+from quest.supervision import GenConfig, Query, format_answer_prompt
 
 from conftest import StubBackend
 
@@ -404,6 +405,40 @@ class TestLockstepAnswers:
         if method == "quest":
             # item i1 ("k") got no pairs and fell back to the base answer
             assert [bool(r["loss_trajectory"]) for r in lockstep] == [True, False, True, True, True]
+
+    def test_one_round_of_greedy_and_sampled_runners(self, pattern_world):
+        ref = pattern_world["backend"]
+        spec = spec_for_all_modules(ref.adaptable_modules(), rank=4, alpha=8)
+        opt = self.SETTINGS["opt_cfg"]
+
+        class CountingPrefetch(WithoutPrefetch):
+            def __init__(self, backend):
+                super().__init__(backend)
+                self.calls = []
+
+            def prefetch(self, requests):
+                self.calls.append(list(requests))
+                return self._backend.prefetch(requests)
+
+        def results(backend):
+            runners = []
+            for k, sym in enumerate("dkp"):
+                session = ModelSession(backend=backend, seed=k)
+                query = Query(f"i{k}", f"Q: {sym} ->\nA:", "")
+                runners += [
+                    engine._base_steps(session, query, 16),
+                    engine._objective_steps(session, query, spec, opt, "entropy", 16),
+                    engine._sc_steps(session, query, 4, 0.8, 16),
+                ]
+            outcomes = engine.run_together(backend, runners)
+            return [(r.answer_text, r.extracted, asdict(r.telemetry)) for r, _ in outcomes]
+
+        counting = CountingPrefetch(ref.with_params(ref.params))
+        lockstep = results(counting)
+        (requests,) = counting.calls
+        assert sorted({(r.max_new_tokens, r.temperature) for r in requests}) == [(16, 0.0), (16, 0.8)]
+        assert len(requests) == 3 * (1 + 1 + 4)
+        assert lockstep == results(WithoutPrefetch(ref.with_params(ref.params)))
 
     def test_a_failing_item_keeps_its_error(self, pattern_world, monkeypatch):
         ref = pattern_world["backend"]

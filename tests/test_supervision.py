@@ -176,8 +176,8 @@ class TestGenerateDataset:
         backend = fresh_backend.with_params(fresh_backend.params)
         lockstep = generate_dataset(ModelSession(backend=backend, seed=3), query, cfg)
         n_prompt = len(backend.tokenize(build_generation_prompt(query, 1)))
-        # the four first attempts share one forward; the four retries run alone
-        assert prefills == [(4, n_prompt)] + [(1, n_prompt)] * 4
+        # the four first attempts share one forward, and so do the four retries
+        assert prefills == [(4, n_prompt)] * 2
         assert lockstep.calls == 8
 
         class WithoutPrefetch:
