@@ -29,6 +29,7 @@ from .evalkit import (
     answers_equivalent,
     emit_report,
     evaluate,
+    extract_answer,
     extract_boxed,
     extract_choice,
     load_benchmark,

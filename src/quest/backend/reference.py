@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import groupby
@@ -719,8 +718,8 @@ class ReferenceBackend:
         seeds the sampler."""
         if max_new_tokens < 0:
             raise ValueError("max_new_tokens must be >= 0")
-        if temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
         if len(prompt) > self.max_len:
             raise ValueError(f"prompt length {len(prompt)} exceeds max length {self.max_len}")
         if max_new_tokens == 0:
@@ -776,12 +775,11 @@ class ReferenceBackend:
         self._remember(key, out)
         return out
 
-    def prefetch(self, requests: Sequence[tuple]) -> list[float]:
+    def prefetch(self, requests: Sequence[tuple]) -> None:
         """Decode requests in lock-step into the generate memo, so the
         ``generate`` calls that follow are hits. Each request is
         ``generate``'s arguments, ``(prompt, max_new_tokens, temperature,
-        adapter, seed)``. Returns each request's share of the decoding time,
-        in seconds.
+        adapter, seed)``.
 
         Requests group by prompt length, ``max_new_tokens``, ``temperature``
         and adapter spec (targets, factor shapes and scaling; or no adapter),
@@ -789,14 +787,13 @@ class ReferenceBackend:
         ``_LOCKSTEP_ROWS`` rows: one forward over the chunk's prompts, then
         one forward per step for all of its rows, each row under its own
         adapter and sampling with its own seed. Its output is the one
-        ``generate`` alone would give, bit for bit. A chunk's time is shared
-        equally by its rows. Requests already in the memo, repeated ones,
-        ones with nothing to decode and ones ``generate`` rejects are
-        skipped, so ``generate`` still raises for the last.
+        ``generate`` alone would give, bit for bit. Requests already in the
+        memo, repeated ones, ones with nothing to decode and ones
+        ``generate`` rejects are skipped, so ``generate`` still raises for
+        the last.
         """
-        seconds = [0.0] * len(requests)
         groups: dict[tuple, dict[tuple, tuple]] = {}
-        for index, (prompt, max_new_tokens, temperature, adapter, seed) in enumerate(requests):
+        for prompt, max_new_tokens, temperature, adapter, seed in requests:
             try:
                 request = self._request(prompt, max_new_tokens, temperature, adapter, seed)
             except ValueError:
@@ -808,24 +805,20 @@ class ReferenceBackend:
                 self._memo.move_to_end(key)
                 continue
             setting = (len(ids), max_new_tokens, temperature, _spec_key(adapter))
-            groups.setdefault(setting, {}).setdefault(key, (index, ids, digest, adapter))
+            groups.setdefault(setting, {}).setdefault(key, (ids, digest, adapter))
         for (_, max_new_tokens, temperature, _), group in groups.items():
             rows = list(group.items())
             n_chunks = -(-len(rows) // _LOCKSTEP_ROWS)
             bounds = [len(rows) * c // n_chunks for c in range(n_chunks + 1)]
             for lo, hi in zip(bounds, bounds[1:]):
                 keys, chunk = zip(*rows[lo:hi])
-                indices, ids, digests, adapters = zip(*chunk)
-                t0 = time.perf_counter()
+                ids, digests, adapters = zip(*chunk)
                 try:
                     outs = self._decode(np.stack(ids), max_new_tokens, temperature, adapters, digests)
                 except ValueError:  # factors that do not fit the model: generate raises
                     continue
-                share = (time.perf_counter() - t0) / len(chunk)
-                for key, index, out in zip(keys, indices, outs):
+                for key, out in zip(keys, outs):
                     self._remember(key, out)
-                    seconds[index] = share
-        return seconds
 
     def _decode(
         self,

@@ -57,8 +57,7 @@ class Backend(Protocol):
     read back through ``generate``. The backend alone decides which of them
     decode together, so that those ``generate`` calls (an adapter of equal
     factor values counts as the same) return without decoding again. It
-    returns one number per request, the seconds of decoding charged to it.
-    It is optional; callers look it up with ``getattr`` and otherwise call
+    is optional; callers look it up with ``getattr`` and otherwise call
     ``generate`` alone, which must return the same tokens either way.
     """
 

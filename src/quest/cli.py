@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, replace
@@ -44,7 +45,6 @@ class RunConfig:
     backend: str = "reference"
     backend_options: dict = field(default_factory=dict)
     benchmark: Optional[str] = None
-    answer_mode: str = "boxed"
     method: str = "quest"
     generation: GenConfig = field(default_factory=GenConfig)
     rank: int = 16
@@ -138,8 +138,8 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         raise ValueError("sc_samples must hold one or more positive budgets")
     if len(set(cfg.sc_samples)) != len(cfg.sc_samples):
         raise ValueError(f"sc_samples repeats a budget: {','.join(map(str, cfg.sc_samples))}")
-    if cfg.sc_temperature <= 0:
-        raise ValueError(f"sc_temperature must be > 0, got {cfg.sc_temperature}")
+    if not 0 < cfg.sc_temperature < math.inf:
+        raise ValueError(f"sc_temperature must be finite and > 0, got {cfg.sc_temperature}")
     if cfg.answer_max_new_tokens < 1:
         raise ValueError(f"answer_max_new_tokens must be >= 1, got {cfg.answer_max_new_tokens}")
     return cfg
@@ -172,7 +172,6 @@ _FLAGS = (
         ("--backend", "backend", {}),
         ("--checkpoint", None, {"help": "reference checkpoint file (.qstb)"}),
         ("--benchmark", "benchmark", {}),
-        ("--mode", "answer_mode", {"choices": ["boxed", "choice-letter"]}),
         ("--out", "out_dir", {}),
         ("--seed", "seed", {"type": int}),
     )),
@@ -225,7 +224,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _load_items(cfg: RunConfig, item_id: Optional[str] = None):
     if not cfg.benchmark:
         raise ValueError("a --benchmark file is required")
-    items = load_benchmark(cfg.benchmark, mode=cfg.answer_mode)
+    items = load_benchmark(cfg.benchmark)
     if item_id is not None:
         items = [item for item in items if item.id == item_id]
         if not items:

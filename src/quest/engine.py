@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ import numpy as np
 
 from .adapters import AdapterSpec, AdapterState, check_adapter, init_adapter, trainable_parameters
 from .backend.session import ModelSession
-from .evalkit import answers_equivalent, extract_boxed, majority_vote
+from .evalkit import answers_equivalent, extract_answer, majority_vote
 from .optim import AdamW
 from .seeding import derive_seed
 from .supervision import (
@@ -62,8 +63,10 @@ class OptConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.grad_accumulation < 1:
             raise ValueError("grad_accumulation must be positive")
         if self.max_seq_len < 2:
@@ -209,9 +212,6 @@ class AnswerRequest(NamedTuple):
 # back and returns its result.
 Runner = Generator[list[AnswerRequest], None, Any]
 
-# How a runner reads the answer out of its text; evalkit passes the item's.
-Extract = Callable[[str], Optional[str]]
-
 
 def _generated(backend, requests: list[AnswerRequest]) -> Generator[Any, None, list[list[int]]]:
     """Yield ``requests``, then return their outputs from ``generate``."""
@@ -229,8 +229,8 @@ def run_together(backend, runners: Sequence[Runner]) -> list[tuple[Any, float]]:
     requests then decodes them into the backend's memo, and each runner,
     resumed, reads its tokens back through ``generate``. Returns per runner
     its return value, or the exception it raised, and its seconds: its own
-    running time plus its requests' shares of the decoding. Without
-    ``prefetch`` every ``generate`` call decodes.
+    running time plus an equal share per request of each ``prefetch`` call.
+    Without ``prefetch`` every ``generate`` call decodes.
     """
     outcomes: list[Any] = [None] * len(runners)
     seconds = [0.0] * len(runners)
@@ -250,7 +250,10 @@ def run_together(backend, runners: Sequence[Runner]) -> list[tuple[Any, float]]:
         running = [i for i, _ in asked]
         rows = [(i, r) for i, requests in asked for r in requests]
         if prefetch is not None and rows:
-            for (i, _), share in zip(rows, prefetch([r for _, r in rows])):
+            t0 = time.perf_counter()
+            prefetch([r for _, r in rows])
+            share = (time.perf_counter() - t0) / len(rows)
+            for i, _ in rows:
                 seconds[i] += share
     return list(zip(outcomes, seconds))
 
@@ -299,11 +302,10 @@ def generate_answer(
     return _alone(session, _answer(session, query, adapter, max_new_tokens))[0]
 
 
-def _base_steps(
-    session: ModelSession, query: Query, max_new_tokens: int, extract: Extract = extract_boxed
-) -> Runner:
+def _base_steps(session: ModelSession, query: Query, max_new_tokens: int) -> Runner:
     text, n_tokens = yield from _answer(session, query, None, max_new_tokens)
-    return MethodResult(text, extract(text), AdaptTelemetry(generated_tokens=n_tokens))
+    telemetry = AdaptTelemetry(generated_tokens=n_tokens)
+    return MethodResult(text, extract_answer(text, query.n_choices), telemetry)
 
 
 def base_answer(
@@ -322,7 +324,6 @@ def _quest_steps(
     conditioned: bool,
     generator_session: Optional[ModelSession],
     max_new_tokens: int,
-    extract: Extract = extract_boxed,
 ) -> Runner:
     gen_session = generator_session if generator_session is not None else session
     if conditioned:
@@ -339,7 +340,7 @@ def _quest_steps(
         )
     text, n_answer = yield from _answer(session, query, adapter, max_new_tokens)
     telemetry.generated_tokens = gen.generated_tokens + n_answer
-    return MethodResult(text, extract(text), telemetry)
+    return MethodResult(text, extract_answer(text, query.n_choices), telemetry)
 
 
 def quest(
@@ -386,7 +387,6 @@ def _no_lora_steps(
     gen_cfg: GenConfig,
     generator_session: Optional[ModelSession],
     max_new_tokens: int,
-    extract: Extract = extract_boxed,
 ) -> Runner:
     gen_session = generator_session if generator_session is not None else session
     gen = generate_dataset(gen_session, query, gen_cfg)
@@ -399,7 +399,7 @@ def _no_lora_steps(
     telemetry = AdaptTelemetry(
         generated_tokens=gen.generated_tokens + len(out), pairs_used=len(gen.pairs)
     )
-    return MethodResult(text, extract(text), telemetry)
+    return MethodResult(text, extract_answer(text, query.n_choices), telemetry)
 
 
 def quest_no_lora(
@@ -421,7 +421,6 @@ def _objective_steps(
     opt_cfg: OptConfig,
     loss: str,
     max_new_tokens: int,
-    extract: Extract = extract_boxed,
 ) -> Runner:
     """Shared TENT/TLM steps: train on the query text alone, then answer.
 
@@ -432,7 +431,7 @@ def _objective_steps(
     adapter, telemetry = _train(session, [example], spec, opt_cfg, loss=loss)
     text, n_answer = yield from _answer(session, query, adapter, max_new_tokens)
     telemetry.generated_tokens += n_answer
-    return MethodResult(text, extract(text), telemetry)
+    return MethodResult(text, extract_answer(text, query.n_choices), telemetry)
 
 
 def tent(
@@ -466,7 +465,6 @@ def _sc_steps(
     n_samples: int,
     temperature: float,
     max_new_tokens: int,
-    extract: Extract = extract_boxed,
 ) -> Runner:
     check_sampling(n_samples, temperature)
     prompt_ids = _answer_prompt_ids(session, query)
@@ -477,7 +475,7 @@ def _sc_steps(
     # the n samples decode in lock-step, with other items' when run together
     outs = yield from _generated(session.backend, requests)
     texts = [session.backend.detokenize(out) for out in outs]
-    answers = [extract(text) for text in texts]
+    answers = [extract_answer(text, query.n_choices) for text in texts]
     winner = majority_vote(answers)
     raw = texts[0]
     if winner is not None:
@@ -496,18 +494,17 @@ def self_consistency(
     temperature: float,
     *,
     max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
-    extract: Extract = extract_boxed,
 ) -> MethodResult:
     """Sample n completions and majority-vote their extracted answers."""
-    return _timed(session, _sc_steps(session, query, n_samples, temperature, max_new_tokens, extract))
+    return _timed(session, _sc_steps(session, query, n_samples, temperature, max_new_tokens))
 
 
 def check_sampling(n_samples: int, temperature: float) -> None:
     """Reject a self-consistency budget or temperature that cannot sample."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if temperature <= 0:
-        raise ValueError("self-consistency requires temperature > 0")
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"self-consistency requires a finite temperature > 0, got {temperature}")
 
 
 # -- the method table -------------------------------------------------------------
@@ -527,34 +524,32 @@ class Method:
 # Each runner takes what it needs of the settings ``evalkit.evaluate`` passes.
 # The public function of each method runs the same runner alone.
 METHODS = {
-    "base": Method(
-        lambda s, q, *, max_new_tokens, extract, **_: _base_steps(s, q, max_new_tokens, extract)
-    ),
+    "base": Method(lambda s, q, *, max_new_tokens, **_: _base_steps(s, q, max_new_tokens)),
     "quest": Method(
-        lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, extract, **_:
-        _quest_steps(s, q, gen_cfg, spec, opt_cfg, True, generator_session, max_new_tokens, extract)
+        lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, **_:
+        _quest_steps(s, q, gen_cfg, spec, opt_cfg, True, generator_session, max_new_tokens)
     ),
     "tent": Method(
-        lambda s, q, *, spec, opt_cfg, max_new_tokens, extract, **_:
-        _objective_steps(s, q, spec, opt_cfg, "entropy", max_new_tokens, extract)
+        lambda s, q, *, spec, opt_cfg, max_new_tokens, **_:
+        _objective_steps(s, q, spec, opt_cfg, "entropy", max_new_tokens)
     ),
     "tlm": Method(
-        lambda s, q, *, spec, opt_cfg, max_new_tokens, extract, **_:
-        _objective_steps(s, q, spec, opt_cfg, "nll", max_new_tokens, extract)
+        lambda s, q, *, spec, opt_cfg, max_new_tokens, **_:
+        _objective_steps(s, q, spec, opt_cfg, "nll", max_new_tokens)
     ),
     "self_consistency": Method(
-        lambda s, q, *, n_samples, temperature, max_new_tokens, extract, **_:
-        _sc_steps(s, q, n_samples, temperature, max_new_tokens, extract),
+        lambda s, q, *, n_samples, temperature, max_new_tokens, **_:
+        _sc_steps(s, q, n_samples, temperature, max_new_tokens),
         sampled=True,
         alias="sc",
     ),
     "quest_no_query": Method(
-        lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, extract, **_:
-        _quest_steps(s, q, gen_cfg, spec, opt_cfg, False, generator_session, max_new_tokens, extract)
+        lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, **_:
+        _quest_steps(s, q, gen_cfg, spec, opt_cfg, False, generator_session, max_new_tokens)
     ),
     "quest_no_lora": Method(
-        lambda s, q, *, gen_cfg, generator_session, max_new_tokens, extract, **_:
-        _no_lora_steps(s, q, gen_cfg, generator_session, max_new_tokens, extract)
+        lambda s, q, *, gen_cfg, generator_session, max_new_tokens, **_:
+        _no_lora_steps(s, q, gen_cfg, generator_session, max_new_tokens)
     ),
 }
 

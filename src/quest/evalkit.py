@@ -71,6 +71,12 @@ def extract_choice(text: str, k: int) -> Optional[str]:
     return None
 
 
+def extract_answer(text: str, n_choices: int = 0) -> Optional[str]:
+    """The answer in ``text``: a letter among the first ``n_choices`` for a
+    multiple-choice query, else the last boxed group."""
+    return extract_choice(text, n_choices) if n_choices else extract_boxed(text)
+
+
 # -- normalization and equivalence ----------------------------------------------
 
 _FRAC = re.compile(r"\\frac\{([^{}]*)\}\{([^{}]*)\}")
@@ -171,24 +177,23 @@ def majority_vote(answers: Sequence[Optional[str]]) -> Optional[str]:
 
 # -- benchmarks ------------------------------------------------------------------
 
-ANSWER_MODES = ("boxed", "choice-letter")
-
 
 @dataclass(frozen=True)
 class BenchmarkItem:
+    """One benchmark question. An item with ``choices`` is multiple choice: its
+    options are rendered into the prompt and it is answered and scored by
+    letter, so its gold must be one of its letters."""
+
     id: str
     problem: str
     answer: str
-    mode: str = "boxed"
     choices: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.mode not in ANSWER_MODES:
-            raise ValueError(f"unknown answer mode {self.mode!r}")
-        if self.mode == "choice-letter":
-            if not self.choices:
-                raise ValueError(f"item {self.id}: choice-letter mode requires choices")
-            letters = string.ascii_uppercase[: len(self.choices)]
+        if self.choices is not None:
+            if not 1 <= len(self.choices) <= len(string.ascii_uppercase):
+                raise ValueError(f"item {self.id}: {len(self.choices)} choices, not 1 to 26")
+            letters = tuple(string.ascii_uppercase[: len(self.choices)])
             if self.answer.strip().upper() not in letters:
                 raise ValueError(
                     f"item {self.id}: gold {self.answer!r} outside choices A..{letters[-1]}"
@@ -203,15 +208,14 @@ def _extract_gold(raw: str) -> str:
     return gold.strip()
 
 
-def load_benchmark(path: Union[str, Path], mode: str = "boxed") -> list[BenchmarkItem]:
+def load_benchmark(path: Union[str, Path]) -> list[BenchmarkItem]:
     """JSON Lines with fields {id?, problem, answer, choices?}; missing ids become
     zero-padded indices, malformed lines fail with their line number.
 
     Ids name per-item directories and seed labels, so each must be unique and
-    one plain path component.
+    one plain path component. ``choices``, when present, must be a list of 1
+    to 26 strings; it alone makes an item multiple choice, with a gold letter.
     """
-    if mode not in ANSWER_MODES:
-        raise ValueError(f"unknown answer mode {mode!r}")
     items = []
     line_of_id: dict[str, int] = {}
     path = Path(path)
@@ -234,14 +238,17 @@ def load_benchmark(path: Union[str, Path], mode: str = "boxed") -> list[Benchmar
                 raise ValueError(f"{path}:{lineno}: duplicate id {item_id!r} (first on line {first})")
             line_of_id[item_id] = lineno
             choices = obj.get("choices")
+            if choices is not None and not (
+                isinstance(choices, list) and all(isinstance(c, str) for c in choices)
+            ):
+                raise ValueError(f"{path}:{lineno}: choices must be a list of strings, got {choices!r}")
             try:
                 items.append(
                     BenchmarkItem(
                         id=item_id,
                         problem=str(obj["problem"]),
                         answer=_extract_gold(obj["answer"]),
-                        mode=mode,
-                        choices=tuple(str(c) for c in choices) if choices else None,
+                        choices=None if choices is None else tuple(choices),
                     )
                 )
             except ValueError as exc:
@@ -250,16 +257,15 @@ def load_benchmark(path: Union[str, Path], mode: str = "boxed") -> list[Benchmar
 
 
 def item_to_query(item: BenchmarkItem, system_prompt: str):
+    """The item's query; a multiple-choice item's options follow its problem."""
     from .supervision import Query
 
-    text = item.problem
-    if item.mode == "choice-letter":
-        rendered = "\n".join(
-            f"({letter}) {choice}"
-            for letter, choice in zip(string.ascii_uppercase, item.choices)
-        )
-        text = f"{item.problem}\n{rendered}"
-    return Query(id=item.id, text=text, system_prompt=system_prompt)
+    choices = item.choices or ()
+    text = "\n".join(
+        [item.problem]
+        + [f"({letter}) {choice}" for letter, choice in zip(string.ascii_uppercase, choices)]
+    )
+    return Query(id=item.id, text=text, system_prompt=system_prompt, n_choices=len(choices))
 
 
 # -- records and evaluation -------------------------------------------------------
@@ -357,11 +363,6 @@ def evaluate(
             max_new_tokens=max_new_tokens,
             n_samples=sc_samples,
             temperature=sc_temperature,
-            extract=(
-                (lambda text: extract_choice(text, len(item.choices)))
-                if item.mode == "choice-letter"
-                else extract_boxed
-            ),
         )
 
     def record(item: BenchmarkItem, result, seconds: float) -> EvalRecord:
@@ -372,11 +373,10 @@ def evaluate(
                 wall_seconds=seconds, gold=item.answer,
                 n_samples=n_samples, error=f"{type(result).__name__}: {result}",
             )
-        extracted = result.extracted  # by the item's own ``extract``
-        if item.mode == "choice-letter":
-            correct = extracted is not None and extracted == item.answer.strip().upper()
-        else:
-            correct = extracted is not None and answers_equivalent(extracted, item.answer)
+        # a multiple-choice item's extracted letter is equivalent only to
+        # its own gold letter, whatever the gold's case
+        extracted = result.extracted
+        correct = extracted is not None and answers_equivalent(extracted, item.answer)
         return EvalRecord(
             item_id=item.id, method=method, raw_output=result.answer_text,
             extracted=extracted, correct=correct,

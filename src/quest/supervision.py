@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -32,9 +33,15 @@ SOLUTION_OPEN, SOLUTION_CLOSE = "<solution>", "</solution>"
 
 @dataclass(frozen=True)
 class Query:
+    """One question to answer. ``n_choices`` is the number of lettered
+    options ``text`` ends with, from a multiple-choice benchmark item (see
+    ``evalkit.item_to_query``); its answer is then a letter, else 0 and the
+    answer is boxed."""
+
     id: str
     text: str
     system_prompt: str = DEFAULT_SYSTEM_PROMPT
+    n_choices: int = 0
 
     def __post_init__(self):
         if not self.text.strip():
@@ -69,8 +76,8 @@ class GenConfig:
             raise ValueError("n_pairs must be positive")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_parse_retries < 0:
             raise ValueError("max_parse_retries must be >= 0")
 
@@ -112,7 +119,7 @@ def build_unconditioned_prompt(index: int, domain: str = "mathematics") -> str:
 
 
 def parse_pairs(raw: str) -> Union[list[AuxPair], ParseFailure]:
-    """Extract every well-formed delimiter block pair, in order.
+    """Every well-formed delimiter block pair, in order.
 
     Empty bodies and delimiters left over outside complete blocks are parse
     failures; the failure carries the raw text so callers can log and retry.

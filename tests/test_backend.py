@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -335,19 +336,23 @@ class TestPrefetch:
     def test_invalid_requests_skipped_and_still_raise(self, random_backend, forward_shapes):
         backend = random_backend.with_params(random_backend.params)
         good = [1, 2, 3]
-        bad = {
-            "token id out of range": [1, backend.vocab_size],
-            "exceeds max length": [1] * (backend.max_len + 1),
-            "empty prompt": [],
-        }
-        backend.prefetch([(ids, 8, 2.0, None, 0) for ids in [good, *bad.values()]])
+        bad = [
+            ("token id out of range", [1, backend.vocab_size], 2.0),
+            ("exceeds max length", [1] * (backend.max_len + 1), 2.0),
+            ("empty prompt", [], 2.0),
+            ("temperature must be finite and >= 0, got nan", good, float("nan")),
+            ("temperature must be finite and >= 0, got inf", good, float("inf")),
+            ("temperature must be finite and >= 0, got -1.0", good, -1.0),
+        ]
+        settings = [(good, 2.0)] + [(ids, temperature) for _, ids, temperature in bad]
+        backend.prefetch([(ids, 8, temperature, None, 0) for ids, temperature in settings])
         assert [shape for shape in forward_shapes if shape[1] > 1] == [(1, 3)]
         n_forwards = len(forward_shapes)
         backend.generate(good, 8, 2.0, seed=0)
         assert len(forward_shapes) == n_forwards
-        for message, ids in bad.items():
-            with pytest.raises(ValueError, match=message):
-                backend.generate(ids, 8, 2.0, seed=0)
+        for message, ids, temperature in bad:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                backend.generate(ids, 8, temperature, seed=0)
 
     def test_adapted_outputs_hit_only_for_equal_factor_values(self, random_backend, forward_shapes):
         backend = random_backend.with_params(random_backend.params)
@@ -378,12 +383,14 @@ class TestPrefetch:
         settings = [(24, 0.0), (24, 2.0), (8, 2.0), (0, 2.0)]
         requests = [(p, n, t, None, s) for s, (n, t) in enumerate(settings) for p in (a, c)]
         requests.append((b, 8, 2.0, None, 2))
-        shares = backend.prefetch(requests)
+        backend.prefetch(requests)
         # one prefill per setting and prompt length; a zero budget skips only
         # its own requests
         prefills = [shape for shape in forward_shapes if shape[1] > 1]
         assert prefills == [(2, 3), (2, 3), (2, 3), (1, 12)]
-        assert [share > 0 for share in shares] == [True] * 6 + [False] * 2 + [True]
+        keys = [backend._request(*request) for request in requests]
+        reached = [key is not None and key[0] in backend._memo for key in keys]
+        assert reached == [True] * 6 + [False] * 2 + [True]
         n_forwards = len(forward_shapes)
         lockstep = [backend.generate(*request) for request in requests]
         assert len(forward_shapes) == n_forwards

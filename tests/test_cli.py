@@ -96,7 +96,7 @@ COMMON = [
 ANSWER = ["--answer-max-new", "16", "--system-prompt", "", "--seed", "9"]
 
 # the flag groups of the CLI, and the commands that take them
-RUN = ["--config", "--backend", "--checkpoint", "--benchmark", "--mode", "--out", "--seed"]
+RUN = ["--config", "--backend", "--checkpoint", "--benchmark", "--out", "--seed"]
 GENERATION = ["--pairs", "--gen-temperature", "--gen-max-new", "--retries"]
 TRAINING = ["--rank", "--alpha", "--dropout", "--steps", "--lr", "--accumulation", "--max-seq-len"]
 SWEEP = RUN + GENERATION + TRAINING + ["--system-prompt", "--answer-max-new", "--sc-samples",
@@ -111,15 +111,30 @@ TAKES = {
 }
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli._parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def _options(sub: argparse.ArgumentParser) -> set[str]:
+    return {
+        option for action in sub._actions for option in action.option_strings
+        if option not in ("-h", "--help")
+    }
+
+
 class TestLoadConfig:
     def test_pure_defaults(self, tmp_path):
         check_config_defaults()
         assert load_config() == RunConfig()
-        # final answers are always greedy; there is no knob for it
+        # final answers are always greedy, and each item's choices decide its
+        # answer format; there is no knob for either
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"answer_temperature": 0.0}))
-        with pytest.raises(ValueError, match="unknown key 'answer_temperature'"):
-            load_config(path)
+        for key, value in (("answer_temperature", 0.0), ("answer_mode", "boxed")):
+            path.write_text(json.dumps({key: value}))
+            with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+                load_config(path)
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -165,8 +180,8 @@ class TestLoadConfig:
             ({"optimization": {"betas": [0.9]}}, "config key 'optimization.betas' must be"),
             ({"sc_samples": [1.5]}, "config key 'sc_samples' must be"),
             ({"optimization": 5}, "config key 'optimization' must be an object"),
-            ({"sc_temperature": 0}, "sc_temperature must be > 0, got 0.0"),
-            ({"sc_temperature": -1.0}, "sc_temperature must be > 0, got -1.0"),
+            ({"sc_temperature": 0}, "sc_temperature must be finite and > 0, got 0.0"),
+            ({"sc_temperature": -1.0}, "sc_temperature must be finite and > 0, got -1.0"),
             ({"answer_max_new_tokens": 0}, "answer_max_new_tokens must be >= 1, got 0"),
             ({"optimization": {"shuffle": True}}, "unknown key optimization.'shuffle'"),
             ({"optimization": {"seed": 7}}, "optimizer seed derives from the top-level 'seed'"),
@@ -437,18 +452,26 @@ class TestCommands:
         assert not (tmp_path / "x").exists()
 
     def test_each_command_takes_only_the_flags_it_reads(self):
-        parser = cli._parser()
-        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        taken = {
-            name: sorted(
-                option for action in sub._actions for option in action.option_strings
-                if option not in ("-h", "--help")
-            )
-            for name, sub in commands.choices.items()
-        }
+        commands = _subparsers()
+        taken = {name: sorted(_options(sub)) for name, sub in commands.items()}
         assert taken == {name: sorted(flags) for name, flags in TAKES.items()}
-        assert sum(map(len, taken.values())) == 85
-        assert not any(sub.allow_abbrev for sub in commands.choices.values())
+        assert sum(map(len, taken.values())) == 80
+        assert not any(sub.allow_abbrev for sub in commands.values())
+
+    def test_readme_flag_table_matches_the_parsers(self):
+        lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        head = next(i for i, line in enumerate(lines) if line.startswith("| flags |"))
+        names = re.findall(r"`(\w+)`", lines[head])
+        documented = {name: set() for name in names}
+        for line in lines[head + 2:]:
+            if not line.startswith("|"):
+                break
+            first, *marks = (cell.strip() for cell in line.strip("|").split("|"))
+            flags = " ".join(re.findall(r"`([^`]+)`", first)).split()
+            for name, mark in zip(names, marks, strict=True):
+                if mark == "✓":
+                    documented[name].update(flags)
+        assert documented == {name: _options(sub) for name, sub in _subparsers().items()}
 
     @pytest.mark.parametrize(
         "argv",
@@ -512,17 +535,33 @@ class TestCommands:
         "argv, config, message",
         [
             (["eval", "--method", "sc", "--sc-samples", "2", "--sc-temperature", "0"], None,
-             "sc_temperature must be > 0, got 0.0"),
+             "sc_temperature must be finite and > 0, got 0.0"),
             (["compare", "--methods", "base,sc", "--sc-temperature", "-1"], None,
-             "sc_temperature must be > 0, got -1.0"),
+             "sc_temperature must be finite and > 0, got -1.0"),
             (["eval", "--method", "base", "--answer-max-new", "0"], None,
              "answer_max_new_tokens must be >= 1, got 0"),
             (["adapt", "--max-seq-len", "-5"], None, "max_seq_len must be >= 2, got -5"),
             (["eval", "--method", "tlm"], {"optimization": {"betas": [1.0, 0.999]}},
              "betas must each lie in [0, 1), got (1.0, 0.999)"),
+            (["eval", "--method", "tlm", "--lr", "nan"], None, "lr must be finite and >= 0, got nan"),
+            (["adapt", "--lr", "inf"], None, "lr must be finite and >= 0, got inf"),
+            (["eval", "--method", "tlm"], {"optimization": {"weight_decay": -1}},
+             "weight_decay must be finite and >= 0, got -1.0"),
+            (["eval", "--method", "tlm", "--alpha", "nan"], None,
+             "alpha must be finite and positive, got nan"),
+            (["adapt", "--alpha", "inf"], None, "alpha must be finite and positive, got inf"),
+            (["eval", "--method", "sc", "--sc-samples", "2", "--sc-temperature", "nan"], None,
+             "sc_temperature must be finite and > 0, got nan"),
+            (["compare", "--methods", "sc", "--sc-temperature", "inf"], None,
+             "sc_temperature must be finite and > 0, got inf"),
+            (["generate", "--gen-temperature", "nan"], None,
+             "temperature must be finite and >= 0, got nan"),
         ],
         ids=["eval-sc-temperature-0", "compare-sc-temperature-negative", "answer-max-new-0",
-             "adapt-max-seq-len-negative", "eval-tlm-beta1-one"],
+             "adapt-max-seq-len-negative", "eval-tlm-beta1-one", "eval-tlm-lr-nan",
+             "adapt-lr-inf", "eval-tlm-weight-decay-negative", "eval-tlm-alpha-nan",
+             "adapt-alpha-inf", "eval-sc-temperature-nan", "compare-sc-temperature-inf",
+             "generate-gen-temperature-nan"],
     )
     def test_unusable_settings_fail_before_any_item(
         self, tmp_path, hybrid_name, bench_path, capsys, argv, config, message

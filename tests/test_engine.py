@@ -57,6 +57,12 @@ class TestOptConfig:
             ({"max_seq_len": 1}, "max_seq_len must be >= 2, got 1"),
             ({"betas": (1.0, 0.999)}, "betas must each lie in [0, 1), got (1.0, 0.999)"),
             ({"betas": (0.9, -0.5)}, "betas must each lie in [0, 1), got (0.9, -0.5)"),
+            ({"betas": (float("nan"), 0.999)}, "betas must each lie in [0, 1), got (nan, 0.999)"),
+            # NaN and infinities reach AdamW's arithmetic and every factor
+            ({"lr": float("inf")}, "lr must be finite and >= 0, got inf"),
+            ({"lr": float("nan")}, "lr must be finite and >= 0, got nan"),
+            ({"weight_decay": float("nan")}, "weight_decay must be finite and >= 0, got nan"),
+            ({"weight_decay": -1}, "weight_decay must be finite and >= 0, got -1"),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 OptConfig(**kwargs)
@@ -435,6 +441,9 @@ class TestSelfConsistency:
             self_consistency(sess, q, 0, 0.7)
         with pytest.raises(ValueError):
             self_consistency(sess, q, 2, 0.0)
+        for temperature in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite temperature > 0"):
+                self_consistency(sess, q, 2, temperature)
 
 
 class TestQuestNoLora:

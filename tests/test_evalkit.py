@@ -250,16 +250,30 @@ class TestLoadBenchmark:
 
     def test_choice_mode_validation(self, tmp_path):
         path = tmp_path / "bench.jsonl"
-        path.write_text('{"problem": "p", "answer": "E", "choices": ["w", "x", "y", "z"]}\n')
-        with pytest.raises(ValueError, match="outside choices"):
-            load_benchmark(path, mode="choice-letter")
+        letters = [chr(ord("A") + k) for k in range(27)]
+        for choices, answer, message in (
+            (["w", "x", "y", "z"], "E", "gold 'E' outside choices A..D"),
+            (["w", "x", "y", "z"], "AB", "gold 'AB' outside choices A..D"),
+            ("ABCD", "A", "choices must be a list of strings, got 'ABCD'"),
+            (["w", 2], "A", "choices must be a list of strings, got ['w', 2]"),
+            ([], "A", "0 choices, not 1 to 26"),
+            (letters, "A", "27 choices, not 1 to 26"),
+        ):
+            lines = [
+                {"problem": "p", "answer": "1"}, {"problem": "q", "answer": answer, "choices": choices}
+            ]
+            path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+            with pytest.raises(ValueError, match=r"bench\.jsonl:2: .*" + re.escape(message)):
+                load_benchmark(path)
+        path.write_text(json.dumps({"problem": "p", "answer": "z", "choices": letters[:26]}) + "\n")
+        assert load_benchmark(path)[0].choices == tuple(letters[:26])
 
     def test_choice_item_query_rendered(self):
-        item = BenchmarkItem(
-            id="g1", problem="Pick one.", answer="B", mode="choice-letter", choices=("u", "v")
-        )
+        item = BenchmarkItem(id="g1", problem="Pick one.", answer="B", choices=("u", "v"))
         query = item_to_query(item, system_prompt="S")
-        assert "(A) u" in query.text and "(B) v" in query.text
+        assert query.text == "Pick one.\n(A) u\n(B) v" and query.n_choices == 2
+        boxed = item_to_query(BenchmarkItem(id="g2", problem="Sum?", answer="3"), system_prompt="S")
+        assert boxed.text == "Sum?" and boxed.n_choices == 0
 
 
 def gold_echo_stub(items):
@@ -334,14 +348,28 @@ class TestEvaluate:
         assert summary["accuracy"] == pytest.approx(2 / 3)
 
     def test_choice_mode_scoring(self):
-        items = [
-            BenchmarkItem(
-                id="c0", problem="pick", answer="B", mode="choice-letter", choices=("p", "q", "r")
-            )
-        ]
+        items = [BenchmarkItem(id="c0", problem="pick", answer="B", choices=("p", "q", "r"))]
         sess = ModelSession(backend=StubBackend(lambda p, c: "the answer is (B)"), seed=0)
         records, summary = evaluate(sess, items, "base", max_new_tokens=64)
         assert records[0].extracted == "B" and summary["accuracy"] == 1.0
+        # with no flag the item's choices alone make every method answer by
+        # letter: a boxed reading would take the one boxed "C" as sc's vote
+        replies = ["the answer is (B)", "\\boxed{C}", "(B)"]
+        for method in ("base", "tlm", "sc"):
+            prompts = []
+
+            def reply(prompt, call):
+                prompts.append(prompt)
+                return replies[(call - 1) % len(replies)]
+
+            stub = StubBackend(reply)
+            records, summary = evaluate(
+                ModelSession(backend=stub, seed=0), items, method, max_new_tokens=64,
+                adapter_spec=spec_for_all_modules(stub.adaptable_modules(), rank=2),
+                opt_cfg=OptConfig(steps=1), sc_samples=3,
+            )
+            assert records[0].extracted == "B" and summary["accuracy"] == 1.0, method
+            assert all("pick\n(A) p\n(B) q\n(C) r\n" in prompt for prompt in prompts)
 
 
 class WithoutPrefetch:
