@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -48,15 +48,15 @@ class AdapterSpec:
 class AdapterState:
     """Per-module (A, B) factor pairs; the only trainable state at test time.
 
-    From ``init_adapter`` and ``load_adapter`` every factor is a view of
-    ``buffer``, one contiguous tensor holding A then B of each module in
-    factor order, so an optimizer steps them all at once.
+    Every factor is a view of ``buffer``, one contiguous tensor holding A
+    then B of each module in factor order, so an optimizer steps them all at
+    once. ``init_adapter`` and ``load_adapter`` build adapters in this form.
     """
 
     spec: AdapterSpec
     factors: dict[str, tuple[np.ndarray, np.ndarray]]
+    buffer: np.ndarray = field(repr=False)
     step_count: int = 0
-    buffer: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def scaling(self) -> float:
@@ -182,13 +182,7 @@ def unmerge(snapshot: MergedSnapshot) -> dict[str, np.ndarray]:
 def trainable_parameters(state: AdapterState) -> dict[str, np.ndarray]:
     """The one trainable tensor, ``{"factors": state.buffer}``: every A and
     B factor flattened, in factor order, and shared with ``state.factors``."""
-    if state.buffer is None:
-        raise ValueError("adapter factors are not laid out in one buffer; use init_adapter or load_adapter")
     return {"factors": state.buffer}
-
-
-def num_trainable(state: AdapterState) -> int:
-    return sum(a.size + b.size for a, b in state.factors.values())
 
 
 # -- serialization ("QSTA" container) ------------------------------------------
@@ -197,11 +191,11 @@ def num_trainable(state: AdapterState) -> int:
 def save_adapter(state: AdapterState, path: Union[str, Path]) -> None:
     from .backend.serialize import write_header, write_tensor
 
-    dtypes = {arr.dtype.name for pair in state.factors.values() for arr in pair}
-    if len(dtypes) != 1 or not dtypes <= set(ADAPTER_DTYPES):
-        raise ValueError(f"adapter factors must share one of {ADAPTER_DTYPES}, got {sorted(dtypes)}")
+    dtype = state.buffer.dtype.name
+    if dtype not in ADAPTER_DTYPES:
+        raise ValueError(f"adapter factors must be one of {ADAPTER_DTYPES}, got {dtype}")
     meta = {
-        "dtype": dtypes.pop(),
+        "dtype": dtype,
         "rank": state.spec.rank,
         "alpha": state.spec.alpha,
         "dropout": state.spec.dropout,

@@ -39,8 +39,9 @@ _RMS_EPS = 1e-5
 # retries and the answer) come between drawing a request and asking for it
 # again: 144 for 18 items, and 4096 entries keep that reuse for sweeps of
 # about 500 items.
-# The same bound holds for lock-step answering, which prefetches every item's
-# answers (8 per item at budget 8) before the first is read back.
+# Lock-step answering prefetches every item's answers (8 per item at budget 8)
+# before the first is read back; a prefetch call keeps every entry it stores
+# or hits past this bound, so a sweep of any size reads them all back.
 # The vocabulary is capped at 128, so an entry holds one byte per token, at
 # most max_len bytes of prompt and output plus about 300 bytes of Python
 # objects: about 2.3 MB in all at max_len 256.
@@ -191,12 +192,6 @@ def _rmsnorm_bwd(dy: np.ndarray, x: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return inv[..., None] * (dy - (inv * inv * dot / n)[..., None] * x)
 
 
-def _adapter_view(adapter: Any) -> tuple[dict, float, float]:
-    if adapter is None:
-        return {}, 0.0, 0.0
-    return adapter.factors, float(adapter.scaling), float(adapter.spec.dropout)
-
-
 class _RefCore:
     """Forward/backward over one parameter set. Shared by the frozen backend
     wrapper and the pretraining loop (which owns writable parameters)."""
@@ -236,13 +231,13 @@ class _RefCore:
         ``keep`` switches the adapter branch into training mode: boolean
         dropout masks of shape (B, n, T, d) for the n adapted modules in
         forward order (layer by layer, q, k, v, o), False where that branch
-        input is dropped. Eval calls leave it None and are fully
-        deterministic. ``kv`` is an optional key/value cache from
-        ``empty_kv(B)`` for a (B, T) chunk: the chunk's keys and values are
-        written at its positions and attention runs over everything cached
-        before them, so a prompt can be fed in one call and decoding continued
-        one token per call. Backward needs the uncached, ``start=0`` form, and
-        one row for base gradients.
+        input is dropped; only then is ``adapter.spec.dropout`` read. Eval
+        calls leave it None and are fully deterministic. ``kv`` is an optional
+        key/value cache from ``empty_kv(B)`` for a (B, T) chunk: the chunk's
+        keys and values are written at its positions and attention runs over
+        everything cached before them, so a prompt can be fed in one call and
+        decoding continued one token per call. Backward needs the uncached,
+        ``start=0`` form, and one row for base gradients.
         """
         cfg, p = self.config, self.params
         ids_arr = np.asarray(ids, dtype=np.intp)
@@ -251,7 +246,9 @@ class _RefCore:
             raise ValueError(f"sequence length {start + T} exceeds max length {cfg.max_len}")
         if ids_arr.size and (ids_arr.min() < 0 or ids_arr.max() >= cfg.vocab_size):
             raise ValueError("token id out of range")
-        factors, scaling, dropout = _adapter_view(adapter)
+        factors = {} if adapter is None else adapter.factors
+        # None also tells backward that no adapter ran: it gives base gradients
+        scaling = None if adapter is None else float(adapter.scaling)
         # one (B, T, d) mask per adapted module, taken in forward order
         masks = None if keep is None else iter(np.moveaxis(keep, -3, 0))
 
@@ -271,7 +268,7 @@ class _RefCore:
             mask = None
             branch_in = xin
             if masks is not None:
-                mask = next(masks).astype(xin.dtype) / np.asarray(1.0 - dropout, dtype=xin.dtype)
+                mask = next(masks).astype(xin.dtype) / np.asarray(1.0 - adapter.spec.dropout, dtype=xin.dtype)
                 branch_in = xin * mask
             # swapaxes, not .T: stacked per-row factors (B, r, d) take the same path
             h = branch_in @ A.swapaxes(-1, -2)
@@ -280,8 +277,7 @@ class _RefCore:
 
         for li in range(cfg.n_layer):
             lc: dict[str, Any] = {"attn_in": x}
-            a, a_inv = _rmsnorm(x)
-            lc["a_norm"], lc["a_inv"] = a, a_inv
+            a, lc["a_inv"] = _rmsnorm(x)
             q, lc["q_cache"] = adapted(a, f"layers.{li}.attn.q")
             k, lc["k_cache"] = adapted(a, f"layers.{li}.attn.k")
             v, lc["v_cache"] = adapted(a, f"layers.{li}.attn.v")
@@ -302,7 +298,7 @@ class _RefCore:
             np.exp(probs, out=probs)
             probs /= probs.sum(axis=-1, keepdims=True)
             attn = (probs @ vh).swapaxes(-3, -2).reshape(merged)
-            lc["qh"], lc["kh"], lc["vh"], lc["probs"], lc["attn"] = qh, kh, vh, probs, attn
+            lc["qh"], lc["kh"], lc["vh"], lc["probs"] = qh, kh, vh, probs
             del probs  # lc holds it; a cached forward then frees it with lc
             o, lc["o_cache"] = adapted(attn, f"layers.{li}.attn.o")
             x = x + o
@@ -326,24 +322,23 @@ class _RefCore:
 
     # backward --------------------------------------------------------------
 
-    def backward(self, cache: dict, dlogits: np.ndarray, wrt: str) -> dict:
+    def backward(self, cache: dict, dlogits: np.ndarray) -> dict:
         """Backpropagate dL/dlogits through the cache of an uncached forward.
 
-        wrt="base": gradients for every base tensor of a one-row forward (no
-        adapter may be active).
-        wrt="adapter": gradients {module: (dA, dB)} for adapted modules only.
-        Over a (B, T) forward they are stacked per row, (B, rank, d_in) and
-        (B, d_out, rank); every product stays stacked over rows, as in
-        ``forward``, so each row gets the bits a backward over it alone would.
+        A forward under an adapter gives gradients {module: (dA, dB)} for its
+        adapted modules only. Over a (B, T) forward they are stacked per row,
+        (B, rank, d_in) and (B, d_out, rank); every product stays stacked over
+        rows, as in ``forward``, so each row gets the bits a backward over it
+        alone would. A forward without one gives gradients for every base
+        tensor, and must be over one row.
         """
-        if wrt not in ("base", "adapter"):
-            raise ValueError(f"wrt must be 'base' or 'adapter', got {wrt!r}")
         cfg, p = self.config, self.params
         ids_arr, T = cache["ids"], cache["T"]
         lead = ids_arr.shape[:-1]
-        if wrt == "base" and lead:
-            raise ValueError("base gradients take a one-row forward")
         scaling = cache["scaling"]
+        base_grads = scaling is None
+        if base_grads and lead:
+            raise ValueError("base gradients take a one-row forward")
         H, hd = cfg.n_head, cfg.head_dim
         inv_sqrt = 1.0 / math.sqrt(hd)
         base: dict[str, np.ndarray] = {}
@@ -356,12 +351,12 @@ class _RefCore:
         def adapted_bwd(dout: np.ndarray, name: str, lin_cache) -> np.ndarray:
             xin, branch_in, h, mask, fac = lin_cache
             dx = dout @ p[name]
-            if wrt == "base":
+            if base_grads:
                 base[name] = t(dout) @ xin
             if fac is not None:
                 A, B = fac
                 dh = scaling * (dout @ B)
-                if wrt == "adapter":
+                if not base_grads:
                     adapter_grads[name] = (t(dh) @ branch_in, scaling * (t(dout) @ h))
                 dbranch = dh @ A
                 if mask is not None:
@@ -370,7 +365,7 @@ class _RefCore:
             return dx
 
         dxf = dlogits @ p["lm_head"]
-        if wrt == "base":
+        if base_grads:
             base["lm_head"] = t(dlogits) @ cache["final_norm"]
         dx = _rmsnorm_bwd(dxf, cache["final_in"], cache["final_inv"])
         heads, merged = (*lead, T, H, hd), (*lead, T, cfg.d_model)
@@ -379,11 +374,11 @@ class _RefCore:
             lc = cache["layers"][li]
             # MLP block
             dh_act = dx @ p[f"layers.{li}.mlp.fc2"]
-            if wrt == "base":
+            if base_grads:
                 base[f"layers.{li}.mlp.fc2"] = t(dx) @ lc["h_act"]
             dh_pre = dh_act * (2.0 * np.maximum(lc["h_pre"], 0.0))
             db = dh_pre @ p[f"layers.{li}.mlp.fc1"]
-            if wrt == "base":
+            if base_grads:
                 base[f"layers.{li}.mlp.fc1"] = t(dh_pre) @ lc["b_norm"]
             dx = dx + _rmsnorm_bwd(db, lc["mlp_in"], lc["b_inv"])
 
@@ -405,7 +400,7 @@ class _RefCore:
             da += adapted_bwd(to_flat(dvh), f"layers.{li}.attn.v", lc["v_cache"])
             dx = dx + _rmsnorm_bwd(da, lc["attn_in"], lc["a_inv"])
 
-        if wrt == "base":
+        if base_grads:
             dwte = np.zeros_like(p["wte"])
             np.add.at(dwte, ids_arr, dx)
             base["wte"] = dwte
@@ -469,13 +464,11 @@ def _draw(probs: np.ndarray, rngs) -> list[int]:
 
 @dataclass(frozen=True)
 class _RowFactors:
-    """Adapters of one spec stacked along the row axis, for a forward over
-    one row per adapter: A (rows, r, d_in), B (rows, d_out, r). ``spec``
-    is the first adapter's; only training reads its dropout."""
+    """Adapters of one spec stacked along the row axis, for an eval forward
+    over one row per adapter: A (rows, r, d_in), B (rows, d_out, r)."""
 
     factors: dict[str, tuple[np.ndarray, np.ndarray]]
     scaling: float
-    spec: Any
 
 
 def _spec_key(adapter: Any) -> Optional[tuple]:
@@ -511,7 +504,7 @@ def _stack_rows(adapters: Sequence[Any]) -> Optional[_RowFactors]:
         name: tuple(np.stack([a.factors[name][k] for a in adapters]) for k in (0, 1))
         for name in first.factors
     }
-    return _RowFactors(factors, float(first.scaling), first.spec)
+    return _RowFactors(factors, float(first.scaling))
 
 
 def _compact(kv: list, rows: Optional[_RowFactors], keep: list[int], filled: int):
@@ -532,7 +525,7 @@ def _compact(kv: list, rows: Optional[_RowFactors], keep: list[int], filled: int
     kv = [(K[:n], V[:n]) for K, V in kv]
     if rows is not None:
         factors = {name: (a[:n], b[:n]) for name, (a, b) in rows.factors.items()}
-        rows = _RowFactors(factors, rows.scaling, rows.spec)
+        rows = _RowFactors(factors, rows.scaling)
     return kv, rows
 
 
@@ -668,9 +661,9 @@ class ReferenceBackend:
                 check_loss_mask(tokens[lo : lo + T], loss_mask[lo : lo + T])
             loss_mask = np.asarray(loss_mask, dtype=bool)
         ids = np.asarray(tokens, dtype=np.intp)
-        factors, _, dropout = _adapter_view(adapter)
+        factors = {} if adapter is None else adapter.factors
         n_mod = sum(m.name in factors for m in self.adaptable_modules())
-        drop = dropout_rng is not None and dropout > 0.0 and n_mod > 0
+        drop = dropout_rng is not None and n_mod > 0 and adapter.spec.dropout > 0.0
 
         total = 0.0
         summed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -684,13 +677,13 @@ class ReferenceBackend:
                 batch = ids[span].reshape(rows, T)
                 keep = None
                 if drop:
-                    keep = dropout_rng.random((rows, n_mod, T, self.config.d_model)) >= dropout
+                    keep = dropout_rng.random((rows, n_mod, T, self.config.d_model)) >= adapter.spec.dropout
                 logits, cache = self._core.forward(batch, adapter=adapter, keep=keep)
                 if loss_mask is None:
                     values, dlogits = _entropy_and_dlogits(logits)
                 else:
                     values, dlogits = _nll_and_dlogits(logits, batch, loss_mask[span].reshape(rows, T))
-                grads = self._core.backward(cache, dlogits, wrt="adapter")
+                grads = {} if adapter is None else self._core.backward(cache, dlogits)
                 for row, value in enumerate(values):
                     total += value
                     for name, (dA, dB) in grads.items():
@@ -741,9 +734,10 @@ class ReferenceBackend:
         key = (ids.astype(np.uint8).tobytes(), max_new_tokens, temperature, digest, _adapter_digest(adapter))
         return key, ids, digest
 
-    def _remember(self, key: tuple, out: list[int]) -> None:
-        self._memo[key] = bytes(out)
-        if len(self._memo) > _MEMO_ENTRIES:
+    def _trim(self, keep: int = 0) -> None:
+        """Evict the least recently used entries past
+        ``max(_MEMO_ENTRIES, keep)``."""
+        while len(self._memo) > max(_MEMO_ENTRIES, keep):
             self._memo.popitem(last=False)
 
     def generate(
@@ -772,7 +766,8 @@ class ReferenceBackend:
             self._memo.move_to_end(key)
             return list(hit)
         out = self._decode(ids[None], max_new_tokens, temperature, [adapter], [digest])[0]
-        self._remember(key, out)
+        self._memo[key] = bytes(out)
+        self._trim()
         return out
 
     def prefetch(self, requests: Sequence[tuple]) -> None:
@@ -790,8 +785,10 @@ class ReferenceBackend:
         ``generate`` alone would give, bit for bit. Requests already in the
         memo, repeated ones, ones with nothing to decode and ones
         ``generate`` rejects are skipped, so ``generate`` still raises for
-        the last.
+        the last. The call evicts none of the entries it stores or hits,
+        however many there are, so each is there to be read back once.
         """
+        touched: set[tuple] = set()
         groups: dict[tuple, dict[tuple, tuple]] = {}
         for prompt, max_new_tokens, temperature, adapter, seed in requests:
             try:
@@ -803,6 +800,7 @@ class ReferenceBackend:
             key, ids, digest = request
             if key in self._memo:
                 self._memo.move_to_end(key)
+                touched.add(key)
                 continue
             setting = (len(ids), max_new_tokens, temperature, _spec_key(adapter))
             groups.setdefault(setting, {}).setdefault(key, (ids, digest, adapter))
@@ -818,7 +816,9 @@ class ReferenceBackend:
                 except ValueError:  # factors that do not fit the model: generate raises
                     continue
                 for key, out in zip(keys, outs):
-                    self._remember(key, out)
+                    self._memo[key] = bytes(out)
+                    touched.add(key)
+        self._trim(len(touched))
 
     def _decode(
         self,
@@ -921,7 +921,7 @@ def train_reference(
         mask = np.arange(len(ids)) > 0
         logits, cache = core.forward(ids)
         losses, dlogits = _nll_and_dlogits(logits[None], np.asarray([ids]), mask[None])
-        grads = core.backward(cache, dlogits[0], wrt="base")
+        grads = core.backward(cache, dlogits[0])
         opt.step(grads)
         if log_every and (step + 1) % log_every == 0:
             print(f"step {step + 1:>5}/{steps}  loss {losses[0]:.4f}")

@@ -32,8 +32,8 @@ class Backend(Protocol):
     """Structural interface every backend must satisfy.
 
     Adapter-aware methods accept the adapter state duck-typed: it must expose
-    ``factors`` (mapping module name -> (A, B) arrays), ``scaling`` and
-    ``spec.dropout``.
+    ``factors`` (mapping module name -> (A, B) arrays) and ``scaling``, and
+    for a loss call given a ``dropout_rng``, ``spec.dropout``.
 
     Backends meant to be optimized at test time also offer the two loss
     entry points, ``masked_nll_with_grads(tokens, loss_mask, adapter,
@@ -49,7 +49,8 @@ class Backend(Protocol):
     with the sum of the per-example adapter gradients, both added in
     example order. ``dropout_rng`` switches on the adapter's dropout; the
     examples draw from it in example order. Without it the loss is the
-    eval-mode loss, and ``adapter=None`` gives the base model's.
+    eval-mode loss. ``adapter=None`` gives the base model's loss and no
+    gradients, ``{}``.
 
     A backend may also offer ``prefetch(requests)``. Each request is
     ``generate``'s arguments, ``(prompt, max_new_tokens, temperature,

@@ -426,7 +426,7 @@ def _objective_steps(
 
     The example's NLL is TLM's objective; TENT's entropy ignores the mask.
     """
-    tokens = session.backend.tokenize(query.text)[: session.backend.max_len]
+    tokens = session.backend.tokenize(query.text)[: min(session.backend.max_len, opt_cfg.max_seq_len)]
     example = (tokens, [0] + [1] * (len(tokens) - 1))
     adapter, telemetry = _train(session, [example], spec, opt_cfg, loss=loss)
     text, n_answer = yield from _answer(session, query, adapter, max_new_tokens)

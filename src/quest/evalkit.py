@@ -48,7 +48,7 @@ def extract_boxed(text: str) -> Optional[str]:
 
 
 _CHOICE_CONTEXT = re.compile(
-    r"(?:answer|option|choice)\s*(?:is|:)?\s*\**\(?([A-Za-z])\)?", re.IGNORECASE
+    r"(?:answer|option|choice)\s*(?:is|:)?\s*\**\(?([A-Za-z])(?![A-Za-z])\)?", re.IGNORECASE
 )
 _CHOICE_FINAL = re.compile(r"\(?\b([A-Za-z])\)?\s*\.?\s*$")
 

@@ -261,6 +261,25 @@ class TestGenerateMemo:
         assert sample(1) == (a, False)
         assert sample(2) == (b, True)
 
+    def test_one_prefetch_past_the_bound_keeps_its_outputs(self, counted, monkeypatch):
+        """A prefetch of more requests than the memo holds, earlier hits
+        among them, evicts none of its outputs before they are read back."""
+        backend, calls = counted
+        monkeypatch.setattr(reference, "_MEMO_ENTRIES", 8)
+        prompt = backend.tokenize("ab")
+        requests = [(prompt, 16, 2.0, None, seed) for seed in range(12)]
+        for request in requests[:4]:
+            backend.generate(*request)
+        backend.prefetch(requests)
+        n = len(calls)
+        outs = [backend.generate(*request) for request in requests]
+        # rows decoded by the read-back: one per prefill forward over the prompt
+        assert sum(shape[0] for shape in calls[n:] if shape[1] > 1) == 0
+        twin = backend.with_params(backend.params)
+        assert outs == [twin.generate(*request) for request in requests]
+        backend.generate(prompt, 16, 2.0, seed=12)  # generate's own store trims to the bound
+        assert len(backend._memo) == 8
+
     def test_bad_tokens_raise_on_every_call(self, counted):
         backend, _ = counted
         backend.generate([1, 2], 4, 0.0)
@@ -567,6 +586,28 @@ class TestPackedGrads:
             forward_shapes.clear()
             _grads_call(backend, loss, tokens, mask, adapter, np.random.default_rng(3), lengths)
             assert forward_shapes == shapes
+
+    def test_no_adapter_runs_no_backward(self, random_backend, forward_shapes, monkeypatch):
+        """Without an adapter there is nothing to differentiate: each stack
+        runs its forward alone and the gradients are empty."""
+        backend, _ = _packed_setup(random_backend, "float64")
+        examples = _examples(backend, [22, 22])
+        tokens = [t for ids, _ in examples for t in ids]
+        mask = [m for _, ms in examples for m in ms]
+        backwards = []
+        backward = _RefCore.backward
+
+        def counting(self, cache, dlogits, **kwargs):
+            backwards.append(dlogits.shape)
+            return backward(self, cache, dlogits, **kwargs)
+
+        monkeypatch.setattr(_RefCore, "backward", counting)
+        for loss in ("nll", "entropy"):
+            forward_shapes.clear()
+            value, grads = _grads_call(backend, loss, tokens, mask, None, np.random.default_rng(3), [22, 22])
+            assert grads == {} and forward_shapes == [(2, 22)]
+            assert value == sum(_grads_call(backend, loss, ids, ms, None, None)[0] for ids, ms in examples)
+        assert backwards == []
 
     def test_lengths_must_cover_the_tokens(self, random_backend):
         backend, adapter = _packed_setup(random_backend, "float64")

@@ -380,6 +380,16 @@ class TestTlm:
         result = tlm(sess, q, spec, OptConfig(steps=5, lr=0.0, weight_decay=0.0), max_new_tokens=12)
         assert result.answer_text == base_answer(sess, q, max_new_tokens=12).answer_text
 
+    @pytest.mark.parametrize("method", [tent, tlm], ids=["tent", "tlm"])
+    def test_query_cut_at_max_seq_len(self, pattern_world, method):
+        backend = pattern_world["backend"]
+        sess = ModelSession(backend=backend, seed=0)
+        q = Query(id="q", text="Q: abcdefghijklmnopqrstuvwxyz01234 ->\nA:", system_prompt="")
+        assert len(backend.tokenize(q.text)) == 40
+        spec = spec_for_all_modules(backend.adaptable_modules(), rank=4, init_seed=3)
+        result = method(sess, q, spec, OptConfig(steps=2, max_seq_len=8), max_new_tokens=2)
+        assert result.telemetry.trained_tokens == 2 * 4 * 8
+
 
 class TestObjectivePins:
     """tent and tlm on ``random_backend`` (float64): loss trajectories and

@@ -72,6 +72,9 @@ class TestExtractChoice:
 
     def test_answer_context(self):
         assert extract_choice("The answer is (B).", 4) == "B"
+        # the letter must stand alone: "clearly" and "approximately" are words
+        assert extract_choice("I think the answer is clearly B", 4) == "B"
+        assert extract_choice("The answer is approximately (D)", 4) == "D"
 
     def test_out_of_range_boxed(self):
         assert extract_choice("\\boxed{E}", 4) is None
