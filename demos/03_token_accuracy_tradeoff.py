@@ -86,17 +86,17 @@ session = ModelSession(backend=backend, seed=7)
 generator = ModelSession(backend=ScriptedGenerator(backend, tag_of), seed=7)
 spec = spec_for_all_modules(backend.adaptable_modules(), rank=8, alpha=16, dropout=0.05)
 
-all_records = []
 print("\nself-consistency sweep:")
-for n in (1, 2, 4, 8, 16):
-    records, summary = evaluate(
-        session, items, "self_consistency", sc_samples=n, sc_temperature=0.8,
-        max_new_tokens=16, seed=5, system_prompt="",
-    )
-    all_records.extend(records)
+# each item draws 16 samples once; budget N votes on the first N of them
+budgets = (1, 2, 4, 8, 16)
+all_records, summaries = evaluate(
+    session, items, "self_consistency", sc_samples=budgets, sc_temperature=0.8,
+    max_new_tokens=16, seed=5, system_prompt="",
+)
+for n, summary in zip(budgets, summaries):
     print(f"  N={n:<3} accuracy {summary['accuracy']:.2f}  mean tokens {summary['mean_tokens']:7.1f}")
 
-records, summary = evaluate(
+records, (summary,) = evaluate(
     session, items, "quest",
     gen_cfg=GenConfig(n_pairs=5, max_new_tokens=64, temperature=0.8),
     adapter_spec=spec,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Any, Optional, Sequence
@@ -29,23 +28,6 @@ import numpy as np
 from .session import AdaptableModuleInfo, check_loss_mask
 
 _RMS_EPS = 1e-5
-
-# Entries in a ReferenceBackend's memo of generate outputs.
-# quest compare draws self-consistency budget n's samples with seeds k < n and
-# runs the largest budget first, so every smaller budget asks again for
-# samples the largest one drew, and quest_no_lora asks again for quest's
-# pair-generation requests. The sweep runs budget-major, so about 8 new
-# entries per benchmark item (budget 8's samples, or 5 pair slots plus
-# retries and the answer) come between drawing a request and asking for it
-# again: 144 for 18 items, and 4096 entries keep that reuse for sweeps of
-# about 500 items.
-# Lock-step answering prefetches every item's answers (8 per item at budget 8)
-# before the first is read back; a prefetch call keeps every entry it stores
-# or hits past this bound, so a sweep of any size reads them all back.
-# The vocabulary is capped at 128, so an entry holds one byte per token, at
-# most max_len bytes of prompt and output plus about 300 bytes of Python
-# objects: about 2.3 MB in all at max_len 256.
-_MEMO_ENTRIES = 4096
 
 # Tokens one training forward and backward stack: a run of consecutive
 # examples of one length T is cut into stacks of at most
@@ -550,7 +532,7 @@ class ReferenceBackend:
         self.params = frozen
         self.tokenizer = CharTokenizer(config.charset)
         self._core = _RefCore(config, frozen)
-        self._memo: OrderedDict[tuple, bytes] = OrderedDict()
+        self._held: dict[tuple, bytes] = {}  # the outputs of the latest prefetch
 
     @classmethod
     def fresh(cls, config: Optional[RefConfig] = None, seed: int = 0) -> "ReferenceBackend":
@@ -707,7 +689,7 @@ class ReferenceBackend:
     ) -> Optional[tuple[tuple, np.ndarray, Optional[bytes]]]:
         """Validate one generate request. Returns None when there is nothing
         to decode (no budget, or a prompt that fills the context window),
-        else its memo key, the prompt ids and, when sampling, the digest that
+        else its key, the prompt ids and, when sampling, the digest that
         seeds the sampler."""
         if max_new_tokens < 0:
             raise ValueError("max_new_tokens must be >= 0")
@@ -734,12 +716,6 @@ class ReferenceBackend:
         key = (ids.astype(np.uint8).tobytes(), max_new_tokens, temperature, digest, _adapter_digest(adapter))
         return key, ids, digest
 
-    def _trim(self, keep: int = 0) -> None:
-        """Evict the least recently used entries past
-        ``max(_MEMO_ENTRIES, keep)``."""
-        while len(self._memo) > max(_MEMO_ENTRIES, keep):
-            self._memo.popitem(last=False)
-
     def generate(
         self,
         prompt: Sequence[int],
@@ -750,31 +726,23 @@ class ReferenceBackend:
     ) -> list[int]:
         """Greedy (``temperature == 0``) or sampled continuation of ``prompt``.
 
-        Every output is kept in a least-recently-used memo of
-        ``_MEMO_ENTRIES`` entries, keyed by the prompt, ``max_new_tokens``,
-        ``temperature``, when sampling the seed, and a digest of the adapter's
-        factor bytes and scaling; the base parameters are frozen, so a
-        repeated request decodes to the same tokens. ``prefetch`` fills the
-        same memo.
+        A request the latest ``prefetch`` call decoded returns its output
+        without decoding; any other decodes, and its output is not kept.
         """
         request = self._request(prompt, max_new_tokens, temperature, adapter, seed)
         if request is None:
             return []
         key, ids, digest = request
-        hit = self._memo.get(key)
-        if hit is not None:
-            self._memo.move_to_end(key)
-            return list(hit)
-        out = self._decode(ids[None], max_new_tokens, temperature, [adapter], [digest])[0]
-        self._memo[key] = bytes(out)
-        self._trim()
-        return out
+        held = self._held.get(key)
+        if held is not None:
+            return list(held)
+        return self._decode(ids[None], max_new_tokens, temperature, [adapter], [digest])[0]
 
     def prefetch(self, requests: Sequence[tuple]) -> None:
-        """Decode requests in lock-step into the generate memo, so the
-        ``generate`` calls that follow are hits. Each request is
-        ``generate``'s arguments, ``(prompt, max_new_tokens, temperature,
-        adapter, seed)``.
+        """Decode requests in lock-step and hold their outputs, in place of
+        the previous call's, for the ``generate`` calls that read them back.
+        Each request is ``generate``'s arguments, ``(prompt, max_new_tokens,
+        temperature, adapter, seed)``.
 
         Requests group by prompt length, ``max_new_tokens``, ``temperature``
         and adapter spec (targets, factor shapes and scaling; or no adapter),
@@ -782,13 +750,14 @@ class ReferenceBackend:
         ``_LOCKSTEP_ROWS`` rows: one forward over the chunk's prompts, then
         one forward per step for all of its rows, each row under its own
         adapter and sampling with its own seed. Its output is the one
-        ``generate`` alone would give, bit for bit. Requests already in the
-        memo, repeated ones, ones with nothing to decode and ones
-        ``generate`` rejects are skipped, so ``generate`` still raises for
-        the last. The call evicts none of the entries it stores or hits,
-        however many there are, so each is there to be read back once.
+        ``generate`` alone would give, bit for bit. A request is keyed by
+        its prompt, ``max_new_tokens``, ``temperature``, when sampling its
+        seed, and a digest of the adapter's factor bytes and scaling, so an
+        adapter of equal values reads the same output. Repeated requests
+        decode once; requests with nothing to decode and ones ``generate``
+        rejects are skipped, so ``generate`` still raises for the last.
         """
-        touched: set[tuple] = set()
+        held: dict[tuple, bytes] = {}
         groups: dict[tuple, dict[tuple, tuple]] = {}
         for prompt, max_new_tokens, temperature, adapter, seed in requests:
             try:
@@ -798,10 +767,6 @@ class ReferenceBackend:
             if request is None:
                 continue
             key, ids, digest = request
-            if key in self._memo:
-                self._memo.move_to_end(key)
-                touched.add(key)
-                continue
             setting = (len(ids), max_new_tokens, temperature, _spec_key(adapter))
             groups.setdefault(setting, {}).setdefault(key, (ids, digest, adapter))
         for (_, max_new_tokens, temperature, _), group in groups.items():
@@ -816,9 +781,8 @@ class ReferenceBackend:
                 except ValueError:  # factors that do not fit the model: generate raises
                     continue
                 for key, out in zip(keys, outs):
-                    self._memo[key] = bytes(out)
-                    touched.add(key)
-        self._trim(len(touched))
+                    held[key] = bytes(out)
+        self._held = held
 
     def _decode(
         self,

@@ -56,10 +56,11 @@ class Backend(Protocol):
     ``generate``'s arguments, ``(prompt, max_new_tokens, temperature,
     adapter, seed)``; callers hand it exactly the requests they are about to
     read back through ``generate``. The backend alone decides which of them
-    decode together, so that those ``generate`` calls (an adapter of equal
-    factor values counts as the same) return without decoding again. It
-    is optional; callers look it up with ``getattr`` and otherwise call
-    ``generate`` alone, which must return the same tokens either way.
+    decode together, and holds their outputs until the next ``prefetch``
+    call; ``generate`` reads a held output (an adapter of equal factor
+    values counts as the same) without decoding. It is optional; callers
+    look it up with ``getattr`` and otherwise call ``generate`` alone, which
+    must return the same tokens either way.
     """
 
     name: str

@@ -134,12 +134,9 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
                 flat[key] = value
         cfg = _apply_section(cfg, flat, "")
     cfg = replace(cfg, method=engine.method_named(cfg.method))
-    if not cfg.sc_samples or min(cfg.sc_samples) < 1:
-        raise ValueError("sc_samples must hold one or more positive budgets")
-    if len(set(cfg.sc_samples)) != len(cfg.sc_samples):
-        raise ValueError(f"sc_samples repeats a budget: {','.join(map(str, cfg.sc_samples))}")
     if not 0 < cfg.sc_temperature < math.inf:
         raise ValueError(f"sc_temperature must be finite and > 0, got {cfg.sc_temperature}")
+    engine.check_sampling(cfg.sc_samples, cfg.sc_temperature)
     if cfg.answer_max_new_tokens < 1:
         raise ValueError(f"answer_max_new_tokens must be >= 1, got {cfg.answer_max_new_tokens}")
     return cfg
@@ -338,26 +335,18 @@ def _sweep(cfg: RunConfig, methods: list[str], report_dir: Path):
     items = _load_items(cfg)
     spec = _adapter_spec(cfg, session)
     _echo_config(cfg)
-    runs = [
-        (method, n)
-        for method in methods
-        for n in (cfg.sc_samples if engine.METHODS[method].sampled else (None,))
-    ]
-    # largest budget first: its samples decode in lock-step and the smaller
-    # budgets, which draw a prefix of them, read the memo
-    order = sorted(runs, key=lambda run: (methods.index(run[0]), -(run[1] or 0)))
-    results = {
-        (method, n): evaluate(
+    results = [
+        evaluate(
             session, items, method, gen_cfg=cfg.generation, adapter_spec=spec,
-            opt_cfg=cfg.optimization, sc_samples=n, sc_temperature=cfg.sc_temperature,
+            opt_cfg=cfg.optimization, sc_samples=cfg.sc_samples, sc_temperature=cfg.sc_temperature,
             max_new_tokens=cfg.answer_max_new_tokens, seed=cfg.seed,
             system_prompt=cfg.system_prompt,
         )
-        for method, n in order
-    }
-    records = [record for run in runs for record in results[run][0]]
+        for method in methods
+    ]
+    records = [record for method_records, _ in results for record in method_records]
     paths = emit_report(records, report_dir, benchmark=Path(cfg.benchmark).stem)
-    return [results[run][1] for run in runs], paths
+    return [summary for _, summaries in results for summary in summaries], paths
 
 
 def _cmd_eval(args) -> int:

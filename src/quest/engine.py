@@ -14,7 +14,8 @@ Each method is a runner: it fits (pair generation, adaptation), yields the
 answer requests it is about to decode, and once resumed reads them back
 through ``generate``. ``run_together`` runs many queries' runners side by
 side and decodes all their answers in lock-step; each public method function
-runs its runner alone.
+runs its runner alone. Self-consistency draws once for every budget of a
+sweep: budget n votes on the first n samples of the largest budget.
 """
 
 from __future__ import annotations
@@ -213,9 +214,8 @@ class AnswerRequest(NamedTuple):
 Runner = Generator[list[AnswerRequest], None, Any]
 
 
-def _generated(backend, requests: list[AnswerRequest]) -> Generator[Any, None, list[list[int]]]:
-    """Yield ``requests``, then return their outputs from ``generate``."""
-    yield requests
+def _read(backend, requests: Sequence[AnswerRequest]) -> list[list[int]]:
+    """The outputs of ``requests``, read back through ``generate``."""
     return [
         backend.generate(r.prompt, r.max_new_tokens, r.temperature, adapter=r.adapter, seed=r.seed)
         for r in requests
@@ -226,10 +226,10 @@ def run_together(backend, runners: Sequence[Runner]) -> list[tuple[Any, float]]:
     """Run ``runners`` side by side and answer their requests in lock-step.
 
     Each runner runs up to its yield; one ``prefetch`` of every runner's
-    requests then decodes them into the backend's memo, and each runner,
-    resumed, reads its tokens back through ``generate``. Returns per runner
-    its return value, or the exception it raised, and its seconds: its own
-    running time plus an equal share per request of each ``prefetch`` call.
+    requests then decodes them, and each runner, resumed, reads its tokens
+    back through ``generate``. Returns per runner its return value, or the
+    exception it raised, and its seconds: its own running time plus an
+    equal share per request of each ``prefetch`` call.
     Without ``prefetch`` every ``generate`` call decodes.
     """
     outcomes: list[Any] = [None] * len(runners)
@@ -284,7 +284,8 @@ def _answer(
         check_adapter(adapter, backend.adaptable_modules())
     prompt = _answer_prompt_ids(session, query)
     request = AnswerRequest(prompt, max_new_tokens, 0.0, adapter, session.seed)
-    (out,) = yield from _generated(backend, [request])
+    yield [request]
+    (out,) = _read(backend, [request])
     return backend.detokenize(out), len(out)
 
 
@@ -394,7 +395,8 @@ def _no_lora_steps(
     prompt = "".join(blocks) + format_answer_prompt(query.text, query.system_prompt)
     backend = session.backend
     request = AnswerRequest(backend.tokenize(prompt), max_new_tokens, 0.0, None, session.seed)
-    (out,) = yield from _generated(backend, [request])
+    yield [request]
+    (out,) = _read(backend, [request])
     text = backend.detokenize(out)
     telemetry = AdaptTelemetry(
         generated_tokens=gen.generated_tokens + len(out), pairs_used=len(gen.pairs)
@@ -459,22 +461,10 @@ def tlm(
     return _timed(session, _objective_steps(session, query, spec, opt_cfg, "nll", max_new_tokens))
 
 
-def _sc_steps(
-    session: ModelSession,
-    query: Query,
-    n_samples: int,
-    temperature: float,
-    max_new_tokens: int,
-) -> Runner:
-    check_sampling(n_samples, temperature)
-    prompt_ids = _answer_prompt_ids(session, query)
-    requests = [
-        AnswerRequest(prompt_ids, max_new_tokens, temperature, None, derive_seed(session.seed, "sc", k))
-        for k in range(n_samples)
-    ]
-    # the n samples decode in lock-step, with other items' when run together
-    outs = yield from _generated(session.backend, requests)
-    texts = [session.backend.detokenize(out) for out in outs]
+def _vote(backend, query: Query, outs: list[list[int]]) -> MethodResult:
+    """Majority vote over sampled outputs; the raw text is the first sample
+    that voted for the winner."""
+    texts = [backend.detokenize(out) for out in outs]
     answers = [extract_answer(text, query.n_choices) for text in texts]
     winner = majority_vote(answers)
     raw = texts[0]
@@ -483,8 +473,28 @@ def _sc_steps(
             if ans is not None and answers_equivalent(ans, winner):
                 raw = text
                 break
-    telemetry = AdaptTelemetry(generated_tokens=sum(len(out) for out in outs))
-    return MethodResult(raw, winner, telemetry)
+    return MethodResult(raw, winner, AdaptTelemetry(generated_tokens=sum(len(out) for out in outs)))
+
+
+def _sc_steps(
+    session: ModelSession,
+    query: Query,
+    budgets: Sequence[int],
+    temperature: float,
+    max_new_tokens: int,
+) -> Runner:
+    """One self-consistency result per budget of ``budgets``. The largest
+    budget's samples decode once, with other items' when run together;
+    sample k's seed derives from the session seed and k alone, so each
+    budget n reads back the first n and votes on them."""
+    check_sampling(budgets, temperature)
+    prompt_ids = _answer_prompt_ids(session, query)
+    requests = [
+        AnswerRequest(prompt_ids, max_new_tokens, temperature, None, derive_seed(session.seed, "sc", k))
+        for k in range(max(budgets))
+    ]
+    yield requests
+    return [_vote(session.backend, query, _read(session.backend, requests[:n])) for n in budgets]
 
 
 def self_consistency(
@@ -496,13 +506,19 @@ def self_consistency(
     max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
 ) -> MethodResult:
     """Sample n completions and majority-vote their extracted answers."""
-    return _timed(session, _sc_steps(session, query, n_samples, temperature, max_new_tokens))
+    runner = _sc_steps(session, query, (n_samples,), temperature, max_new_tokens)
+    (result,), seconds = _alone(session, runner)
+    result.telemetry.wall_seconds = seconds
+    return result
 
 
-def check_sampling(n_samples: int, temperature: float) -> None:
-    """Reject a self-consistency budget or temperature that cannot sample."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+def check_sampling(budgets: Sequence[int], temperature: float) -> None:
+    """Reject budgets that are not one or more distinct positive counts, or
+    a temperature that cannot sample."""
+    if not budgets or min(budgets) < 1:
+        raise ValueError("sc_samples must hold one or more positive budgets")
+    if len(set(budgets)) != len(budgets):
+        raise ValueError(f"sc_samples repeats a budget: {','.join(map(str, budgets))}")
     if not 0 < temperature < math.inf:
         raise ValueError(f"self-consistency requires a finite temperature > 0, got {temperature}")
 
@@ -513,8 +529,8 @@ def check_sampling(n_samples: int, temperature: float) -> None:
 @dataclass(frozen=True)
 class Method:
     """A row of ``METHODS``: ``run(session, query, **settings)`` returns the
-    runner that answers one query; ``sampled`` methods take a sampling
-    budget, ``n_samples``."""
+    runner that answers one query; ``sampled`` methods take the sweep's
+    sampling budgets, ``budgets``, and return one result per budget."""
 
     run: Callable[..., Runner]
     sampled: bool = False
@@ -538,8 +554,8 @@ METHODS = {
         _objective_steps(s, q, spec, opt_cfg, "nll", max_new_tokens)
     ),
     "self_consistency": Method(
-        lambda s, q, *, n_samples, temperature, max_new_tokens, **_:
-        _sc_steps(s, q, n_samples, temperature, max_new_tokens),
+        lambda s, q, *, budgets, temperature, max_new_tokens, **_:
+        _sc_steps(s, q, budgets, temperature, max_new_tokens),
         sampled=True,
         alias="sc",
     ),

@@ -309,13 +309,13 @@ def evaluate(
     gen_cfg=None,
     adapter_spec=None,
     opt_cfg=None,
-    sc_samples: int = 8,
+    sc_samples: Sequence[int] = (8,),
     sc_temperature: float = 0.8,
     max_new_tokens: int = 4096,
     seed: int = 0,
     system_prompt: Optional[str] = None,
     generator_session=None,
-) -> tuple[list[EvalRecord], dict]:
+) -> tuple[list[EvalRecord], list[dict]]:
     """Run one method (a name or alias of ``engine.METHODS``) over a benchmark
     with a fresh adapter per item.
 
@@ -324,10 +324,16 @@ def evaluate(
     (``engine.run_together``). A record's ``wall_seconds`` is its item's own
     running time plus its share of the lock-step decoding.
 
-    A self-consistency budget or temperature that cannot sample fails before
-    any item runs. Per-item errors are recorded as incorrect (with the error
-    text) and never abort the sweep. Fully deterministic for a fixed seed on
-    the reference backend.
+    A sampled method runs once for every budget of ``sc_samples``: each item
+    draws the largest budget's samples, and budget n votes on the first n.
+    Records come budget-major, in the order of ``sc_samples``, with one
+    summary per budget (an unsampled method has one); every budget's record
+    of an item carries the item's seconds.
+
+    Budgets that are empty, repeated or not positive, or a temperature that
+    cannot sample, fail before any item runs. Per-item errors are recorded
+    as incorrect (with the error text) and never abort the sweep. Fully
+    deterministic for a fixed seed on the reference backend.
     """
     from . import engine
     from .adapters import spec_for_all_modules
@@ -337,9 +343,9 @@ def evaluate(
         raise ValueError("no benchmark items to evaluate")
     method = engine.method_named(method)
     runner = engine.METHODS[method]
+    budgets = tuple(sc_samples) if runner.sampled else (None,)
     if runner.sampled:
-        engine.check_sampling(sc_samples, sc_temperature)
-    n_samples = sc_samples if runner.sampled else None
+        engine.check_sampling(budgets, sc_temperature)
     gen_cfg = gen_cfg if gen_cfg is not None else GenConfig()
     opt_cfg = opt_cfg if opt_cfg is not None else engine.OptConfig()
     if adapter_spec is None:
@@ -361,11 +367,11 @@ def evaluate(
                 else None
             ),
             max_new_tokens=max_new_tokens,
-            n_samples=sc_samples,
+            budgets=budgets,
             temperature=sc_temperature,
         )
 
-    def record(item: BenchmarkItem, result, seconds: float) -> EvalRecord:
+    def record(item: BenchmarkItem, n_samples, result, seconds: float) -> EvalRecord:
         if isinstance(result, Exception):  # recorded, never fatal for the sweep
             return EvalRecord(
                 item_id=item.id, method=method, raw_output="", extracted=None,
@@ -388,8 +394,15 @@ def evaluate(
         )
 
     outcomes = engine.run_together(session.backend, [steps(item) for item in items])
-    records = [record(item, *outcome) for item, outcome in zip(items, outcomes)]
-    return records, summarize(records)
+    runs: list[list[EvalRecord]] = [[] for _ in budgets]
+    for item, (result, seconds) in zip(items, outcomes):
+        if runner.sampled and not isinstance(result, Exception):
+            results = result
+        else:  # an error, or an unsampled method's one result, stands for every budget
+            results = [result] * len(budgets)
+        for run, n, one in zip(runs, budgets, results):
+            run.append(record(item, n, one, seconds))
+    return [r for run in runs for r in run], [summarize(run) for run in runs]
 
 
 def summarize(records: Sequence[EvalRecord]) -> dict:

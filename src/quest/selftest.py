@@ -139,8 +139,9 @@ def check_frozen_base(session, query, n_pairs: int, steps: int, generator_sessio
 def check_prefetch_matches_generate() -> None:
     """One ``prefetch`` of mixed requests (with and without adapters, greedy
     and sampled, two budgets), then ``generate``, returns what ``generate``
-    alone decodes; ``prefetch`` decodes each request once, and a prompt that
-    fills the context window decodes nothing."""
+    alone decodes; ``prefetch`` decodes each distinct request once, the
+    read-backs decode nothing, and a prompt that fills the context window
+    decodes nothing. Decoded requests are counted as rows of prompt forwards."""
     cfg = RefConfig(charset="abcdefgh <>/:\n", n_layer=2, d_model=32, n_head=4, max_len=40)
     rng = np.random.default_rng(5)
     params = {name: rng.normal(0, 0.3, shape) for name, shape in param_shapes(cfg).items()}
@@ -162,9 +163,19 @@ def check_prefetch_matches_generate() -> None:
     full = rng.integers(1, cfg.vocab_size, size=cfg.max_len).tolist()
     skipped = [requests[3], (full, 24, 0.0, None, 0), (full, 24, 1.5, adapters[1], 0)]
     lockstep, alone = ReferenceBackend(cfg, params), ReferenceBackend(cfg, params)
+    prompt_rows = []
+    forward = lockstep._core.forward
+
+    def counting(ids, *args, **kwargs):
+        if not kwargs.get("start"):  # a prompt forward, one row per decoded request
+            prompt_rows.append(len(ids))
+        return forward(ids, *args, **kwargs)
+
+    lockstep._core.forward = counting
     lockstep.prefetch(requests + skipped + [([1, cfg.vocab_size], 24, 1.5, adapters[1], 99)])
     distinct = {(tuple(p), m, t, s if t else None, id(a)) for p, m, t, a, s in requests}
-    assert len(lockstep._memo) == len(distinct), "prefetch left requests undecoded"
+    assert sum(prompt_rows) == len(distinct), "prefetch did not decode each request once"
+    prompt_rows.clear()
     ends = set()
     for prompt, budget, temperature, adapter, seed in requests + skipped:
         want = alone.generate(prompt, budget, temperature, adapter=adapter, seed=seed)
@@ -179,7 +190,7 @@ def check_prefetch_matches_generate() -> None:
         elif adapter is not None:
             end = "budget" if len(got) == budget else "window" if len(prompt) + len(got) == 40 else "eos"
             ends.add(end)
-    assert len(lockstep._memo) == len(distinct), "generate decoded a prefetched request again"
+    assert not prompt_rows, "generate decoded a prefetched request again"
     assert ends == {"eos", "budget", "window"}, f"adapted rows only ended at {sorted(ends)}"
     try:
         lockstep.generate([1, cfg.vocab_size], 24, 1.5, adapter=adapters[1], seed=99)

@@ -144,10 +144,10 @@ def test_criterion_6_adaptation_efficacy(pattern_world):
     gen_cfg = GenConfig(n_pairs=5, max_new_tokens=64, temperature=0.8)
     opt_cfg = OptConfig(steps=200, lr=3e-3, grad_accumulation=4)
 
-    base_records, base_summary = evaluate(
+    base_records, (base_summary,) = evaluate(
         session, items, "base", max_new_tokens=16, seed=5, system_prompt=""
     )
-    quest_records, quest_summary = evaluate(
+    quest_records, (quest_summary,) = evaluate(
         session, items, "quest", gen_cfg=gen_cfg, adapter_spec=spec, opt_cfg=opt_cfg,
         max_new_tokens=16, seed=5, system_prompt="", generator_session=gen_session,
     )
@@ -240,8 +240,8 @@ def test_criterion_9_token_accounting(tmp_path):
     for n in (1, 2, 4, 8):
         stub = StubBackend(completion)
         session = ModelSession(backend=stub, seed=0)
-        records, summary = evaluate(
-            session, items, "self_consistency", sc_samples=n, sc_temperature=0.7,
+        records, (summary,) = evaluate(
+            session, items, "self_consistency", sc_samples=(n,), sc_temperature=0.7,
             max_new_tokens=4096, seed=1,
         )
         assert summary["mean_tokens"] == n * L, f"n={n}: {summary['mean_tokens']}"
@@ -252,7 +252,7 @@ def test_criterion_9_token_accounting(tmp_path):
 
     stub = StubBackend(completion)
     session = ModelSession(backend=stub, seed=0)
-    quest_records, quest_summary = evaluate(
+    quest_records, _ = evaluate(
         session, items, "quest",
         gen_cfg=GenConfig(n_pairs=5, max_new_tokens=4096, temperature=0.7),
         adapter_spec=spec_for_all_modules(stub.adaptable_modules(), rank=2, alpha=4),

@@ -82,8 +82,7 @@ class TestGenerate:
     def test_zero_budget(self, fresh_backend):
         assert fresh_backend.generate(fresh_backend.tokenize("ab"), 0) == []
 
-    # a second backend over the same parameters decodes again instead of
-    # answering from the first one's memo
+    # a second backend over the same parameters decodes the same tokens
     def test_greedy_deterministic(self, ab_backend):
         prompt = ab_backend.tokenize("ab")
         twin = ab_backend.with_params(ab_backend.params)
@@ -191,100 +190,46 @@ def forward_shapes(monkeypatch):
 
 @pytest.fixture
 def counted(ab_backend, forward_shapes):
-    """A backend with an empty memo, and the ids shape of every forward it runs."""
+    """A backend that holds no prefetched outputs, and the ids shape of every
+    forward it runs."""
     return ab_backend.with_params(ab_backend.params), forward_shapes
 
 
 class TestGenerateMemo:
-    def test_repeat_runs_no_forward(self, counted):
-        backend, calls = counted
-        prompt = backend.tokenize("ab")
-        for temperature, seed in ((0.0, None), (2.0, 7)):
-            first = backend.generate(prompt, 20, temperature, seed=seed)
-            n = len(calls)
-            assert n > 0
-            assert backend.generate(prompt, 20, temperature, seed=seed) == first
-            assert len(calls) == n
-            calls.clear()
-
-    def test_adapted_decode_hits_the_second_time(self, counted):
-        backend, calls = counted
-        mods = backend.adaptable_modules()
-        adapter = init_adapter(spec_for_all_modules(mods, rank=2, alpha=4.0), mods)
-        prompt = backend.tokenize("ab")
-        for temperature, seed in ((0.0, None), (2.0, 7)):
-            first = backend.generate(prompt, 10, temperature, adapter=adapter, seed=seed)
-            n = len(calls)
-            assert n > 0
-            assert backend.generate(prompt, 10, temperature, adapter=adapter, seed=seed) == first
-            assert len(calls) == n
-            # the entry is the adapter's: an adapter-free call decodes
-            assert backend.generate(prompt, 10, temperature, seed=seed) == first
-            assert len(calls) == 2 * n
-            calls.clear()
+    """``generate`` reads what the latest ``prefetch`` call holds, and keeps
+    nothing of its own."""
 
     def test_greedy_hits_across_seeds_sampled_do_not(self, counted):
         backend, calls = counted
         prompt = backend.tokenize("ba")
-        greedy = backend.generate(prompt, 20, 0.0, seed=1)
+        backend.prefetch([(prompt, 20, 0.0, None, 1)])
         n = len(calls)
+        greedy = backend.generate(prompt, 20, 0.0, seed=1)
         assert backend.generate(prompt, 20, 0.0, seed=2) == greedy
         assert backend.generate(prompt, 20, 0.0) == greedy
         assert len(calls) == n
-        backend.generate(prompt, 20, 2.0, seed=1)
+        backend.prefetch([(prompt, 20, 2.0, None, 1)])
         n = len(calls)
+        backend.generate(prompt, 20, 2.0, seed=1)
+        assert len(calls) == n
         backend.generate(prompt, 20, 2.0, seed=2)
         assert len(calls) > n
 
     def test_returned_list_is_a_copy(self, counted):
         backend, _ = counted
         prompt = backend.tokenize("ab")
+        backend.prefetch([(prompt, 12, 2.0, None, 3)])
         out = backend.generate(prompt, 12, 2.0, seed=3)
         want = list(out)
         out[0] = backend.eos_id
         out.append(1)
         assert backend.generate(prompt, 12, 2.0, seed=3) == want
 
-    def test_evicts_least_recently_used(self, counted, monkeypatch):
-        backend, calls = counted
-        monkeypatch.setattr(reference, "_MEMO_ENTRIES", 2)
-        prompt = backend.tokenize("ab")
-
-        def sample(seed):
-            before = len(calls)
-            return backend.generate(prompt, 16, 2.0, seed=seed), len(calls) > before
-
-        a, _ = sample(1)
-        b, _ = sample(2)
-        assert sample(1) == (a, False)  # a is now the most recently used
-        sample(3)  # evicts b
-        assert sample(1) == (a, False)
-        assert sample(2) == (b, True)
-
-    def test_one_prefetch_past_the_bound_keeps_its_outputs(self, counted, monkeypatch):
-        """A prefetch of more requests than the memo holds, earlier hits
-        among them, evicts none of its outputs before they are read back."""
-        backend, calls = counted
-        monkeypatch.setattr(reference, "_MEMO_ENTRIES", 8)
-        prompt = backend.tokenize("ab")
-        requests = [(prompt, 16, 2.0, None, seed) for seed in range(12)]
-        for request in requests[:4]:
-            backend.generate(*request)
-        backend.prefetch(requests)
-        n = len(calls)
-        outs = [backend.generate(*request) for request in requests]
-        # rows decoded by the read-back: one per prefill forward over the prompt
-        assert sum(shape[0] for shape in calls[n:] if shape[1] > 1) == 0
-        twin = backend.with_params(backend.params)
-        assert outs == [twin.generate(*request) for request in requests]
-        backend.generate(prompt, 16, 2.0, seed=12)  # generate's own store trims to the bound
-        assert len(backend._memo) == 8
-
     def test_bad_tokens_raise_on_every_call(self, counted):
         backend, _ = counted
-        backend.generate([1, 2], 4, 0.0)
+        backend.prefetch([([1, 2], 4, 0.0, None, None)])
         for _ in range(2):
-            # 258 is 2 modulo 256: the memo must not see [1, 2] here
+            # 258 is 2 modulo 256: the held [1, 2] must not answer here
             with pytest.raises(ValueError, match="token id out of range"):
                 backend.generate([1, 258], 4, 0.0)
 
@@ -301,7 +246,7 @@ def _mixed_requests(backend, seed=8):
 
 
 class TestPrefetch:
-    """``prefetch`` then ``generate`` against ``generate`` on an empty memo."""
+    """``prefetch`` then ``generate`` against ``generate`` alone."""
 
     @pytest.mark.parametrize("temperature", [0.0, 2.0], ids=["greedy", "sampled"])
     def test_matches_generate_alone(self, random_backend, forward_shapes, temperature):
@@ -339,18 +284,53 @@ class TestPrefetch:
         assert len(ends["eos"]) > 2
 
     def test_skips_repeats_and_memo_hits(self, random_backend, forward_shapes):
+        """Repeats decode once, and the read-backs hit what the call holds;
+        an output ``generate`` decoded before is not kept, so it decodes too."""
         backend = random_backend.with_params(random_backend.params)
         (a, sa), (b, sb), (c, sc) = _mixed_requests(backend)[:3]
         want_a = backend.generate(a, 24, 2.0, seed=sa)
         forward_shapes.clear()
         repeated = [(a, sa), (b, sb), (b, sb), (c, sc), (b, sb)]
         backend.prefetch([(p, 24, 2.0, None, s) for p, s in repeated])
-        assert [shape for shape in forward_shapes if shape[1] > 1] == [(1, 12), (1, 50)]
+        assert [shape for shape in forward_shapes if shape[1] > 1] == [(1, 3), (1, 12), (1, 50)]
         n_forwards = len(forward_shapes)
         assert backend.generate(a, 24, 2.0, seed=sa) == want_a
         backend.generate(b, 24, 2.0, seed=sb)
         backend.generate(c, 24, 2.0, seed=sc)
         assert len(forward_shapes) == n_forwards
+
+    def test_generate_between_prefetch_and_read_backs_decodes_only_its_request(self, counted):
+        backend, calls = counted
+        prompt = backend.tokenize("ab")
+        requests = [(prompt, 16, 2.0, None, seed) for seed in range(12)]
+        backend.prefetch(requests)
+        n = len(calls)
+        other = backend.generate(prompt, 16, 2.0, seed=12)
+        # rows decoded: one per row of a prefill forward over the prompt
+        assert sum(shape[0] for shape in calls[n:] if shape[1] > 1) == 1
+        n = len(calls)
+        outs = [backend.generate(*request) for request in requests]
+        assert len(calls) == n
+        twin = backend.with_params(backend.params)
+        assert outs == [twin.generate(*request) for request in requests]
+        assert other == twin.generate(prompt, 16, 2.0, seed=12)
+
+    def test_next_prefetch_drops_the_outputs_of_the_last(self, counted):
+        """A call decodes every request it is given, even one the last call
+        held, and holds its own outputs only."""
+        backend, calls = counted
+        prompt = backend.tokenize("ab")
+        first, second = [(prompt, 16, 2.0, None, seed) for seed in (1, 2)]
+        backend.prefetch([first])
+        n = len(calls)
+        backend.prefetch([first, second])
+        assert sum(shape[0] for shape in calls[n:] if shape[1] > 1) == 2
+        backend.prefetch([second])
+        n = len(calls)
+        backend.generate(*second)
+        assert len(calls) == n
+        backend.generate(*first)
+        assert sum(shape[0] for shape in calls[n:] if shape[1] > 1) == 1
 
     def test_invalid_requests_skipped_and_still_raise(self, random_backend, forward_shapes):
         backend = random_backend.with_params(random_backend.params)
@@ -408,7 +388,7 @@ class TestPrefetch:
         prefills = [shape for shape in forward_shapes if shape[1] > 1]
         assert prefills == [(2, 3), (2, 3), (2, 3), (1, 12)]
         keys = [backend._request(*request) for request in requests]
-        reached = [key is not None and key[0] in backend._memo for key in keys]
+        reached = [key is not None and key[0] in backend._held for key in keys]
         assert reached == [True] * 6 + [False] * 2 + [True]
         n_forwards = len(forward_shapes)
         lockstep = [backend.generate(*request) for request in requests]

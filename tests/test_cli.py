@@ -333,14 +333,8 @@ class TestCommands:
         assert evaluated == records(tmp_path / "c" / "records.jsonl")
         assert all(0 < r["generated_tokens"] <= 2 * 16 for r in evaluated)
 
-    def test_compare_sweep_matches_separate_evals(self, tmp_path, pattern_world, bench_path):
-        # every command gets a backend with an empty generate memo
-        ref = pattern_world["backend"]
-        register_backend(
-            "pattern-hybrid-fresh",
-            lambda: HybridPatternBackend(ref.with_params(ref.params), pattern_world["tag_of"]),
-        )
-        args = ["--backend", "pattern-hybrid-fresh", "--benchmark", str(bench_path),
+    def test_compare_sweep_matches_separate_evals(self, tmp_path, hybrid_name, bench_path):
+        args = ["--backend", hybrid_name, "--benchmark", str(bench_path),
                 "--sc-temperature", "0.8"] + COMMON
 
         def records(path):
@@ -384,10 +378,12 @@ class TestCommands:
         )
         assert code == 0
         assert len(requests) == 2 * 3 * 5 * 2  # methods x items x slots x attempts
+        # both methods ask for the same requests, and each method decodes
+        # every one of them exactly once
         decoded = [ids for ids in prefills if ids in {r[0] for r in requests}]
-        assert len(decoded) == len(set(requests)) == len(requests) // 2
+        assert len(decoded) == len(requests) == 2 * len(set(requests))
 
-    def test_compare_runs_largest_budget_first_and_emits_ascending(
+    def test_compare_draws_each_item_once_for_every_budget_and_emits_ascending(
         self, tmp_path, bench_path, monkeypatch, capsys
     ):
         requests, sampled = [], []
@@ -416,7 +412,7 @@ class TestCommands:
         summaries = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:4]]
         assert summaries == [f"self_consistency@{n}" for n in (1, 2, 4, 8)]
         # the three items' 24 samples decode once, together, in two balanced
-        # lock-step chunks; every other request is a memo hit
+        # lock-step chunks; each budget reads back a prefix of its item's 8
         assert len(requests) == 3 * (1 + 2 + 4 + 8)
         assert sampled == [12, 12]
         assert len(set(requests)) == 3 * 8

@@ -300,7 +300,7 @@ class TestEvaluate:
     def test_echo_stub_scores_perfectly(self):
         items = self._items()
         sess = ModelSession(backend=gold_echo_stub(items), seed=0)
-        records, summary = evaluate(sess, items, "base", max_new_tokens=64)
+        records, (summary,) = evaluate(sess, items, "base", max_new_tokens=64)
         assert summary["accuracy"] == 1.0
         assert all(r.correct for r in records)
 
@@ -313,20 +313,29 @@ class TestEvaluate:
             evaluate(session, self._items(1), "magic")
 
     @pytest.mark.parametrize(
-        "n, temperature, message",
-        [(2, 0.0, "temperature > 0"), (0, 0.8, "n_samples must be positive")],
+        "budgets, temperature, message",
+        [
+            ((2,), 0.0, "temperature > 0"),
+            ((0,), 0.8, "positive budgets"),
+            ((), 0.8, "positive budgets"),
+            ((4, -1), 0.8, "positive budgets"),
+            ((1, 2, 2), 0.8, "repeats a budget: 1,2,2"),
+        ],
+        ids=[
+            "2-0.0-temperature > 0", "0-0.8-n_samples must be positive", "empty", "negative", "repeated",
+        ],
     )
-    def test_unusable_sampling_fails_before_any_item(self, n, temperature, message):
+    def test_unusable_sampling_fails_before_any_item(self, budgets, temperature, message):
         stub = StubBackend(lambda prompt, call: "\\boxed{1}")
         sess = ModelSession(backend=stub, seed=0)
         with pytest.raises(ValueError, match=message):
-            evaluate(sess, self._items(3), "sc", sc_samples=n, sc_temperature=temperature)
+            evaluate(sess, self._items(3), "sc", sc_samples=budgets, sc_temperature=temperature)
         assert stub.calls == 0
 
     def test_recount_matches_summary(self):
         items = self._items(5)
         sess = ModelSession(backend=gold_echo_stub(items[:3]), seed=0)  # 2 items miss
-        records, summary = evaluate(sess, items, "base", max_new_tokens=64)
+        records, (summary,) = evaluate(sess, items, "base", max_new_tokens=64)
         assert summary["accuracy"] == sum(r.correct for r in records) / len(records)
         assert summary["total_tokens"] == sum(r.total_tokens for r in records)
         assert summary["mean_tokens"] == summary["total_tokens"] / len(records)
@@ -343,7 +352,7 @@ class TestEvaluate:
             return ""
 
         sess = ModelSession(backend=StubBackend(fn), seed=0)
-        records, summary = evaluate(sess, items, "base", max_new_tokens=64)
+        records, (summary,) = evaluate(sess, items, "base", max_new_tokens=64)
         assert len(records) == 3
         failed = [r for r in records if r.error]
         assert len(failed) == 1 and not failed[0].correct
@@ -353,7 +362,7 @@ class TestEvaluate:
     def test_choice_mode_scoring(self):
         items = [BenchmarkItem(id="c0", problem="pick", answer="B", choices=("p", "q", "r"))]
         sess = ModelSession(backend=StubBackend(lambda p, c: "the answer is (B)"), seed=0)
-        records, summary = evaluate(sess, items, "base", max_new_tokens=64)
+        records, (summary,) = evaluate(sess, items, "base", max_new_tokens=64)
         assert records[0].extracted == "B" and summary["accuracy"] == 1.0
         # with no flag the item's choices alone make every method answer by
         # letter: a boxed reading would take the one boxed "C" as sc's vote
@@ -366,10 +375,10 @@ class TestEvaluate:
                 return replies[(call - 1) % len(replies)]
 
             stub = StubBackend(reply)
-            records, summary = evaluate(
+            records, (summary,) = evaluate(
                 ModelSession(backend=stub, seed=0), items, method, max_new_tokens=64,
                 adapter_spec=spec_for_all_modules(stub.adaptable_modules(), rank=2),
-                opt_cfg=OptConfig(steps=1), sc_samples=3,
+                opt_cfg=OptConfig(steps=1), sc_samples=(3,),
             )
             assert records[0].extracted == "B" and summary["accuracy"] == 1.0, method
             assert all("pick\n(A) p\n(B) q\n(C) r\n" in prompt for prompt in prompts)
@@ -409,7 +418,7 @@ class TestLockstepAnswers:
     SETTINGS = dict(
         gen_cfg=GenConfig(n_pairs=3, max_new_tokens=32, temperature=0.8),
         opt_cfg=OptConfig(steps=3, lr=3e-3, grad_accumulation=2),
-        sc_samples=4, sc_temperature=0.8, max_new_tokens=16, seed=4, system_prompt="",
+        sc_samples=(4, 1), sc_temperature=0.8, max_new_tokens=16, seed=4, system_prompt="",
     )
 
     def _run(self, pattern_world, backend, items, method):
@@ -459,10 +468,13 @@ class TestLockstepAnswers:
                 runners += [
                     engine._base_steps(session, query, 16),
                     engine._objective_steps(session, query, spec, opt, "entropy", 16),
-                    engine._sc_steps(session, query, 4, 0.8, 16),
+                    engine._sc_steps(session, query, (4,), 0.8, 16),
                 ]
-            outcomes = engine.run_together(backend, runners)
-            return [(r.answer_text, r.extracted, asdict(r.telemetry)) for r, _ in outcomes]
+            results = []
+            for outcome, _ in engine.run_together(backend, runners):
+                # self-consistency returns one result per budget
+                results += outcome if isinstance(outcome, list) else [outcome]
+            return [(r.answer_text, r.extracted, asdict(r.telemetry)) for r in results]
 
         counting = CountingPrefetch(ref.with_params(ref.params))
         lockstep = results(counting)
