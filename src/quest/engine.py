@@ -13,9 +13,10 @@ retries, trained tokens count every example visit.
 Each method is a runner: it fits (pair generation, adaptation), yields the
 answer requests it is about to decode, and once resumed reads them back
 through ``generate``. ``run_together`` runs many queries' runners side by
-side and decodes all their answers in lock-step; each public method function
-runs its runner alone. Self-consistency draws once for every budget of a
-sweep: budget n votes on the first n samples of the largest budget.
+side and decodes all their answers in lock-step. ``METHODS`` holds each
+method's runner, and each public method function runs its row alone.
+Self-consistency draws once for every budget of a sweep: budget n votes on
+the first n samples of the largest budget.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Generator, NamedTuple, Optional, Sequence, Union
 
@@ -91,10 +93,6 @@ class MethodResult:
     answer_text: str
     extracted: Optional[str]
     telemetry: AdaptTelemetry
-
-
-def _answer_prompt_ids(session: ModelSession, query: Query) -> list[int]:
-    return session.backend.tokenize(format_answer_prompt(query.text, query.system_prompt))
 
 
 def sft_update(
@@ -266,23 +264,19 @@ def _alone(session: ModelSession, runner: Runner) -> tuple[Any, float]:
     return outcome, seconds
 
 
-def _timed(session: ModelSession, runner: Runner) -> MethodResult:
-    result, seconds = _alone(session, runner)
-    result.telemetry.wall_seconds = seconds
-    return result
-
-
 def _answer(
     session: ModelSession,
     query: Query,
     adapter: Optional[AdapterState],
     max_new_tokens: int,
+    context: str = "",
 ) -> Generator[list[AnswerRequest], None, tuple[str, int]]:
-    """Runner steps of a greedy answer: its text and token count."""
+    """Runner steps of a greedy answer, ``context`` placed before the answer
+    prompt: its text and token count."""
     backend = session.backend
     if adapter is not None:
         check_adapter(adapter, backend.adaptable_modules())
-    prompt = _answer_prompt_ids(session, query)
+    prompt = backend.tokenize(context + format_answer_prompt(query.text, query.system_prompt))
     request = AnswerRequest(prompt, max_new_tokens, 0.0, adapter, session.seed)
     yield [request]
     (out,) = _read(backend, [request])
@@ -303,126 +297,60 @@ def generate_answer(
     return _alone(session, _answer(session, query, adapter, max_new_tokens))[0]
 
 
-def _base_steps(session: ModelSession, query: Query, max_new_tokens: int) -> Runner:
+def _base_steps(
+    session: ModelSession, query: Query, *, max_new_tokens: int = ANSWER_MAX_NEW_TOKENS, **_
+) -> Runner:
     text, n_tokens = yield from _answer(session, query, None, max_new_tokens)
     telemetry = AdaptTelemetry(generated_tokens=n_tokens)
     return MethodResult(text, extract_answer(text, query.n_choices), telemetry)
 
 
-def base_answer(
-    session: ModelSession, query: Query, max_new_tokens: int = ANSWER_MAX_NEW_TOKENS
-) -> MethodResult:
-    """Unadapted greedy answer; the floor every method is measured against."""
-    return _timed(session, _base_steps(session, query, max_new_tokens))
-
-
 def _quest_steps(
     session: ModelSession,
     query: Query,
+    *,
     gen_cfg: GenConfig,
-    spec: AdapterSpec,
-    opt_cfg: OptConfig,
-    conditioned: bool,
-    generator_session: Optional[ModelSession],
-    max_new_tokens: int,
+    spec: Optional[AdapterSpec] = None,
+    opt_cfg: Optional[OptConfig] = None,
+    generator_session: Optional[ModelSession] = None,
+    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
+    conditioned: bool = True,
+    in_context: bool = False,
+    **_,
 ) -> Runner:
+    """Generate pairs, about the query unless not ``conditioned``; fit an adapter to
+    them, or with ``in_context`` put them before the answer prompt; answer."""
     gen_session = generator_session if generator_session is not None else session
     if conditioned:
         gen = generate_dataset(gen_session, query, gen_cfg)
     else:
         gen = generate_unconditioned_dataset(gen_session, gen_cfg)
 
-    if not gen.pairs:
+    adapter, context = None, ""
+    if in_context:
+        telemetry = AdaptTelemetry(pairs_used=len(gen.pairs))
+        context = "".join(f"{pair.problem}\n{pair.solution}\n" for pair in gen.pairs)
+    elif not gen.pairs:
         # uninformative supervision: fall back to the unadapted base answer
-        adapter, telemetry = None, AdaptTelemetry()
+        telemetry = AdaptTelemetry()
     else:
         adapter, telemetry = adapt(
             session, gen.pairs, spec, opt_cfg, system_prompt=query.system_prompt
         )
-    text, n_answer = yield from _answer(session, query, adapter, max_new_tokens)
+    text, n_answer = yield from _answer(session, query, adapter, max_new_tokens, context)
     telemetry.generated_tokens = gen.generated_tokens + n_answer
     return MethodResult(text, extract_answer(text, query.n_choices), telemetry)
-
-
-def quest(
-    session: ModelSession,
-    query: Query,
-    gen_cfg: GenConfig,
-    spec: AdapterSpec,
-    opt_cfg: OptConfig,
-    *,
-    generator_session: Optional[ModelSession] = None,
-    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
-) -> MethodResult:
-    """Full query-conditioned pipeline: generate pairs, adapt, answer, reset.
-
-    ``generator_session`` defaults to the solving session (the base model is
-    its own generator); tests substitute a scripted generator here.
-    """
-    return _timed(
-        session,
-        _quest_steps(session, query, gen_cfg, spec, opt_cfg, True, generator_session, max_new_tokens),
-    )
-
-
-def quest_no_query(
-    session: ModelSession,
-    query: Query,
-    gen_cfg: GenConfig,
-    spec: AdapterSpec,
-    opt_cfg: OptConfig,
-    *,
-    generator_session: Optional[ModelSession] = None,
-    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
-) -> MethodResult:
-    """Ablation: same pipeline trained on query-independent pairs."""
-    return _timed(
-        session,
-        _quest_steps(session, query, gen_cfg, spec, opt_cfg, False, generator_session, max_new_tokens),
-    )
-
-
-def _no_lora_steps(
-    session: ModelSession,
-    query: Query,
-    gen_cfg: GenConfig,
-    generator_session: Optional[ModelSession],
-    max_new_tokens: int,
-) -> Runner:
-    gen_session = generator_session if generator_session is not None else session
-    gen = generate_dataset(gen_session, query, gen_cfg)
-    blocks = [f"{pair.problem}\n{pair.solution}\n" for pair in gen.pairs]
-    prompt = "".join(blocks) + format_answer_prompt(query.text, query.system_prompt)
-    backend = session.backend
-    request = AnswerRequest(backend.tokenize(prompt), max_new_tokens, 0.0, None, session.seed)
-    yield [request]
-    (out,) = _read(backend, [request])
-    text = backend.detokenize(out)
-    telemetry = AdaptTelemetry(
-        generated_tokens=gen.generated_tokens + len(out), pairs_used=len(gen.pairs)
-    )
-    return MethodResult(text, extract_answer(text, query.n_choices), telemetry)
-
-
-def quest_no_lora(
-    session: ModelSession,
-    query: Query,
-    gen_cfg: GenConfig,
-    *,
-    generator_session: Optional[ModelSession] = None,
-    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
-) -> MethodResult:
-    """Ablation: generated pairs become in-context exemplars; no updates."""
-    return _timed(session, _no_lora_steps(session, query, gen_cfg, generator_session, max_new_tokens))
 
 
 def _objective_steps(
     session: ModelSession,
     query: Query,
+    *,
     spec: AdapterSpec,
     opt_cfg: OptConfig,
     loss: str,
-    max_new_tokens: int,
+    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
+    **_,
 ) -> Runner:
     """Shared TENT/TLM steps: train on the query text alone, then answer.
 
@@ -434,31 +362,6 @@ def _objective_steps(
     text, n_answer = yield from _answer(session, query, adapter, max_new_tokens)
     telemetry.generated_tokens += n_answer
     return MethodResult(text, extract_answer(text, query.n_choices), telemetry)
-
-
-def tent(
-    session: ModelSession,
-    query: Query,
-    spec: AdapterSpec,
-    opt_cfg: OptConfig,
-    *,
-    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
-) -> MethodResult:
-    """Entropy-minimization baseline over the query's next-token distributions,
-    optimized through the same low-rank parameterization as the main method."""
-    return _timed(session, _objective_steps(session, query, spec, opt_cfg, "entropy", max_new_tokens))
-
-
-def tlm(
-    session: ModelSession,
-    query: Query,
-    spec: AdapterSpec,
-    opt_cfg: OptConfig,
-    *,
-    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
-) -> MethodResult:
-    """Input-perplexity-minimization baseline: NLL of the query text itself."""
-    return _timed(session, _objective_steps(session, query, spec, opt_cfg, "nll", max_new_tokens))
 
 
 def _vote(backend, query: Query, outs: list[list[int]]) -> MethodResult:
@@ -479,37 +382,24 @@ def _vote(backend, query: Query, outs: list[list[int]]) -> MethodResult:
 def _sc_steps(
     session: ModelSession,
     query: Query,
+    *,
     budgets: Sequence[int],
     temperature: float,
-    max_new_tokens: int,
+    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
+    **_,
 ) -> Runner:
     """One self-consistency result per budget of ``budgets``. The largest
     budget's samples decode once, with other items' when run together;
     sample k's seed derives from the session seed and k alone, so each
     budget n reads back the first n and votes on them."""
     check_sampling(budgets, temperature)
-    prompt_ids = _answer_prompt_ids(session, query)
+    prompt_ids = session.backend.tokenize(format_answer_prompt(query.text, query.system_prompt))
     requests = [
         AnswerRequest(prompt_ids, max_new_tokens, temperature, None, derive_seed(session.seed, "sc", k))
         for k in range(max(budgets))
     ]
     yield requests
     return [_vote(session.backend, query, _read(session.backend, requests[:n])) for n in budgets]
-
-
-def self_consistency(
-    session: ModelSession,
-    query: Query,
-    n_samples: int,
-    temperature: float,
-    *,
-    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
-) -> MethodResult:
-    """Sample n completions and majority-vote their extracted answers."""
-    runner = _sc_steps(session, query, (n_samples,), temperature, max_new_tokens)
-    (result,), seconds = _alone(session, runner)
-    result.telemetry.wall_seconds = seconds
-    return result
 
 
 def check_sampling(budgets: Sequence[int], temperature: float) -> None:
@@ -528,45 +418,24 @@ def check_sampling(budgets: Sequence[int], temperature: float) -> None:
 
 @dataclass(frozen=True)
 class Method:
-    """A row of ``METHODS``: ``run(session, query, **settings)`` returns the
-    runner that answers one query; ``sampled`` methods take the sweep's
-    sampling budgets, ``budgets``, and return one result per budget."""
+    """A row of ``METHODS``: ``run(session, query, **settings)`` is the runner
+    that answers one query, reading the settings it names and ignoring the
+    rest; ``sampled`` methods take the sweep's sampling budgets, ``budgets``,
+    and return one result per budget."""
 
     run: Callable[..., Runner]
     sampled: bool = False
     alias: Optional[str] = None
 
 
-# Each runner takes what it needs of the settings ``evalkit.evaluate`` passes.
-# The public function of each method runs the same runner alone.
 METHODS = {
-    "base": Method(lambda s, q, *, max_new_tokens, **_: _base_steps(s, q, max_new_tokens)),
-    "quest": Method(
-        lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, **_:
-        _quest_steps(s, q, gen_cfg, spec, opt_cfg, True, generator_session, max_new_tokens)
-    ),
-    "tent": Method(
-        lambda s, q, *, spec, opt_cfg, max_new_tokens, **_:
-        _objective_steps(s, q, spec, opt_cfg, "entropy", max_new_tokens)
-    ),
-    "tlm": Method(
-        lambda s, q, *, spec, opt_cfg, max_new_tokens, **_:
-        _objective_steps(s, q, spec, opt_cfg, "nll", max_new_tokens)
-    ),
-    "self_consistency": Method(
-        lambda s, q, *, budgets, temperature, max_new_tokens, **_:
-        _sc_steps(s, q, budgets, temperature, max_new_tokens),
-        sampled=True,
-        alias="sc",
-    ),
-    "quest_no_query": Method(
-        lambda s, q, *, gen_cfg, spec, opt_cfg, generator_session, max_new_tokens, **_:
-        _quest_steps(s, q, gen_cfg, spec, opt_cfg, False, generator_session, max_new_tokens)
-    ),
-    "quest_no_lora": Method(
-        lambda s, q, *, gen_cfg, generator_session, max_new_tokens, **_:
-        _no_lora_steps(s, q, gen_cfg, generator_session, max_new_tokens)
-    ),
+    "base": Method(_base_steps),
+    "quest": Method(_quest_steps),
+    "tent": Method(partial(_objective_steps, loss="entropy")),
+    "tlm": Method(partial(_objective_steps, loss="nll")),
+    "self_consistency": Method(_sc_steps, sampled=True, alias="sc"),
+    "quest_no_query": Method(partial(_quest_steps, conditioned=False)),
+    "quest_no_lora": Method(partial(_quest_steps, in_context=True)),
 }
 
 
@@ -579,6 +448,109 @@ def method_named(name: str) -> str:
         f"{label} ({method.alias})" if method.alias else label for label, method in METHODS.items()
     )
     raise ValueError(f"unknown method {name!r}; expected one of {known}")
+
+
+def _run(method: str, session: ModelSession, query: Query, **settings) -> MethodResult:
+    """``METHODS[method]`` run alone on one query, its seconds as its
+    ``wall_seconds``; a sampled method is given one budget."""
+    row = METHODS[method]
+    result, seconds = _alone(session, row.run(session, query, **settings))
+    if row.sampled:
+        (result,) = result
+    result.telemetry.wall_seconds = seconds
+    return result
+
+
+def base_answer(
+    session: ModelSession, query: Query, max_new_tokens: int = ANSWER_MAX_NEW_TOKENS
+) -> MethodResult:
+    """Unadapted greedy answer; the floor every method is measured against."""
+    return _run("base", session, query, max_new_tokens=max_new_tokens)
+
+
+def quest(
+    session: ModelSession,
+    query: Query,
+    gen_cfg: GenConfig,
+    spec: AdapterSpec,
+    opt_cfg: OptConfig,
+    *,
+    generator_session: Optional[ModelSession] = None,
+    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
+) -> MethodResult:
+    """Full query-conditioned pipeline: generate pairs, adapt, answer, reset.
+
+    ``generator_session`` defaults to the solving session (the base model is
+    its own generator); tests substitute a scripted generator here.
+    """
+    return _run("quest", session, query, gen_cfg=gen_cfg, spec=spec, opt_cfg=opt_cfg,
+                generator_session=generator_session, max_new_tokens=max_new_tokens)
+
+
+def quest_no_query(
+    session: ModelSession,
+    query: Query,
+    gen_cfg: GenConfig,
+    spec: AdapterSpec,
+    opt_cfg: OptConfig,
+    *,
+    generator_session: Optional[ModelSession] = None,
+    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
+) -> MethodResult:
+    """Ablation: same pipeline trained on query-independent pairs."""
+    return _run("quest_no_query", session, query, gen_cfg=gen_cfg, spec=spec, opt_cfg=opt_cfg,
+                generator_session=generator_session, max_new_tokens=max_new_tokens)
+
+
+def quest_no_lora(
+    session: ModelSession,
+    query: Query,
+    gen_cfg: GenConfig,
+    *,
+    generator_session: Optional[ModelSession] = None,
+    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
+) -> MethodResult:
+    """Ablation: generated pairs become in-context exemplars; no updates."""
+    return _run("quest_no_lora", session, query, gen_cfg=gen_cfg,
+                generator_session=generator_session, max_new_tokens=max_new_tokens)
+
+
+def tent(
+    session: ModelSession,
+    query: Query,
+    spec: AdapterSpec,
+    opt_cfg: OptConfig,
+    *,
+    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
+) -> MethodResult:
+    """Entropy-minimization baseline over the query's next-token distributions,
+    optimized through the same low-rank parameterization as the main method."""
+    return _run("tent", session, query, spec=spec, opt_cfg=opt_cfg, max_new_tokens=max_new_tokens)
+
+
+def tlm(
+    session: ModelSession,
+    query: Query,
+    spec: AdapterSpec,
+    opt_cfg: OptConfig,
+    *,
+    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
+) -> MethodResult:
+    """Input-perplexity-minimization baseline: NLL of the query text itself."""
+    return _run("tlm", session, query, spec=spec, opt_cfg=opt_cfg, max_new_tokens=max_new_tokens)
+
+
+def self_consistency(
+    session: ModelSession,
+    query: Query,
+    n_samples: int,
+    temperature: float,
+    *,
+    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
+) -> MethodResult:
+    """Sample n completions and majority-vote their extracted answers."""
+    return _run("self_consistency", session, query, budgets=(n_samples,), temperature=temperature,
+                max_new_tokens=max_new_tokens)
 
 
 # -- per-query artifacts and seed derivation ------------------------------------

@@ -190,6 +190,8 @@ class BenchmarkItem:
     choices: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
+        if not self.problem.strip():
+            raise ValueError(f"item {self.id}: problem is blank")
         if self.choices is not None:
             if not 1 <= len(self.choices) <= len(string.ascii_uppercase):
                 raise ValueError(f"item {self.id}: {len(self.choices)} choices, not 1 to 26")
@@ -212,9 +214,11 @@ def load_benchmark(path: Union[str, Path]) -> list[BenchmarkItem]:
     """JSON Lines with fields {id?, problem, answer, choices?}; missing ids become
     zero-padded indices, malformed lines fail with their line number.
 
-    Ids name per-item directories and seed labels, so each must be unique and
-    one plain path component. ``choices``, when present, must be a list of 1
-    to 26 strings; it alone makes an item multiple choice, with a gold letter.
+    Each line is an object. ``problem`` is text that is not blank; ``answer``,
+    and ``id`` when present, are text or an integer, never a bool. Ids name
+    per-item directories and seed labels, so each must be unique and one
+    plain path component. ``choices``, when present, must be a list of 1 to
+    26 strings; it alone makes an item multiple choice, with a gold letter.
     """
     items = []
     line_of_id: dict[str, int] = {}
@@ -227,9 +231,17 @@ def load_benchmark(path: Union[str, Path]) -> list[BenchmarkItem]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, got {obj!r}")
             for fname in ("problem", "answer"):
                 if fname not in obj:
                     raise ValueError(f"{path}:{lineno}: missing field {fname!r}")
+            for fname, kinds in (("problem", str), ("answer", (str, int)), ("id", (str, int))):
+                value = obj.get(fname, "")
+                # a bool is an int to isinstance, and would read as "True"
+                if not isinstance(value, kinds) or isinstance(value, bool):
+                    kind = "text" if kinds is str else "text or an integer"
+                    raise ValueError(f"{path}:{lineno}: {fname} must be {kind}, got {value!r}")
             item_id = str(obj.get("id", f"{len(items):04d}"))
             if item_id in ("", ".", "..") or "/" in item_id or "\\" in item_id:
                 raise ValueError(f"{path}:{lineno}: id {item_id!r} is not a plain name")
@@ -246,7 +258,7 @@ def load_benchmark(path: Union[str, Path]) -> list[BenchmarkItem]:
                 items.append(
                     BenchmarkItem(
                         id=item_id,
-                        problem=str(obj["problem"]),
+                        problem=obj["problem"],
                         answer=_extract_gold(obj["answer"]),
                         choices=None if choices is None else tuple(choices),
                     )

@@ -288,7 +288,17 @@ def dump_pairs(pairs: Sequence[AuxPair], path: Union[str, Path], query_id: str =
             )
 
 
+def _field(obj: dict, name: str, kind: type, default=None):
+    """``obj[name]``, or ``default`` when absent, if it is a ``kind`` (a bool is no int)."""
+    value = obj[name] if default is None else obj.get(name, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_pairs(path: Union[str, Path]) -> list[AuxPair]:
+    """The pairs of a file ``dump_pairs`` wrote; a malformed line fails with
+    its line number."""
     pairs = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -296,13 +306,15 @@ def load_pairs(path: Union[str, Path]) -> list[AuxPair]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"expected a JSON object, got {obj!r}")
                 pairs.append(
                     AuxPair(
-                        problem=obj["problem"],
-                        solution=obj["solution"],
-                        source_index=int(obj.get("index", lineno)),
-                        conditioned=bool(obj.get("conditioned", True)),
-                        gen_tokens=int(obj.get("gen_tokens", 0)),
+                        problem=_field(obj, "problem", str),
+                        solution=_field(obj, "solution", str),
+                        source_index=_field(obj, "index", int, lineno),
+                        conditioned=_field(obj, "conditioned", bool, True),
+                        gen_tokens=_field(obj, "gen_tokens", int, 0),
                     )
                 )
             except (KeyError, ValueError) as exc:

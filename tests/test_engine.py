@@ -9,6 +9,7 @@ from quest.adapters import init_adapter, spec_for_all_modules, trainable_paramet
 from quest.backend import ModelSession, RefConfig, ReferenceBackend
 from quest.backend.reference import init_params
 from quest.engine import (
+    METHODS,
     OptConfig,
     adapt,
     base_answer,
@@ -21,6 +22,7 @@ from quest.engine import (
     tent,
     tlm,
 )
+from quest.evalkit import BenchmarkItem, evaluate, item_to_query
 from quest.optim import AdamW
 from quest.supervision import AuxPair, GenConfig, Query, make_training_example
 
@@ -501,6 +503,64 @@ class TestQuestNoLora:
             generator_session=ModelSession(backend=gen_stub, seed=4), max_new_tokens=12,
         )
         assert result.answer_text == base_answer(sess, q, max_new_tokens=12).answer_text
+
+
+class QueryFree:
+    """The pattern stub, except that a query-free prompt gets one fixed pair."""
+
+    def __init__(self, stub):
+        self._stub = stub
+
+    def __getattr__(self, name):
+        return getattr(self._stub, name)
+
+    def generate(self, prompt, max_new_tokens, temperature, adapter=None, seed=None):
+        if "Q: " in self.detokenize(prompt):
+            return self._stub.generate(prompt, max_new_tokens, temperature, seed=seed)
+        return self.tokenize(WELL_FORMED)
+
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_public_function_equals_the_sweep_record(pattern_world, name):
+    """Each public method function, given an item's derived seeds, returns
+    what ``evaluate`` records for that item."""
+    backend = pattern_world["backend"]
+    gen_cfg = GenConfig(n_pairs=3, max_new_tokens=32, temperature=0.8)
+    spec = spec_for_all_modules(backend.adaptable_modules(), rank=4, alpha=8)
+    opt_cfg = OptConfig(steps=3, lr=3e-3, grad_accumulation=2)
+    generator = ModelSession(backend=QueryFree(pattern_world["stub"]), seed=0)
+    item = BenchmarkItem(id="i0", problem="Q: d ->\nA:", answer="dv")
+    (record,), _ = evaluate(
+        ModelSession(backend=backend, seed=0), [item], name,
+        gen_cfg=gen_cfg, adapter_spec=spec, opt_cfg=opt_cfg, sc_samples=(3,), sc_temperature=0.8,
+        max_new_tokens=16, seed=4, system_prompt="", generator_session=generator,
+    )
+
+    seeds = derive_item_seeds(4, item.id)
+    session = ModelSession(backend=backend, seed=seeds["session"])
+    query = item_to_query(item, "")
+    spec = replace(spec, init_seed=seeds["adapter"])
+    opt_cfg = replace(opt_cfg, seed=seeds["opt"])
+    pairs = dict(generator_session=generator.clone(seed=seeds["session"]), max_new_tokens=16)
+    calls = {
+        "base": lambda: base_answer(session, query, max_new_tokens=16),
+        "quest": lambda: quest(session, query, gen_cfg, spec, opt_cfg, **pairs),
+        "tent": lambda: tent(session, query, spec, opt_cfg, max_new_tokens=16),
+        "tlm": lambda: tlm(session, query, spec, opt_cfg, max_new_tokens=16),
+        "self_consistency": lambda: self_consistency(session, query, 3, 0.8, max_new_tokens=16),
+        "quest_no_query": lambda: quest_no_query(session, query, gen_cfg, spec, opt_cfg, **pairs),
+        "quest_no_lora": lambda: quest_no_lora(session, query, gen_cfg, **pairs),
+    }
+    result = calls[name]()
+    assert record.error is None
+    assert bool(record.loss_trajectory) == (name in ("quest", "tent", "tlm", "quest_no_query"))
+    assert (
+        result.answer_text, result.extracted, result.telemetry.generated_tokens,
+        result.telemetry.trained_tokens, result.telemetry.loss_trajectory,
+    ) == (
+        record.raw_output, record.extracted, record.generated_tokens,
+        record.trained_tokens, record.loss_trajectory,
+    )
 
 
 def test_derive_item_seeds_stable():

@@ -251,6 +251,36 @@ class TestLoadBenchmark:
         with pytest.raises(ValueError, match=r"bench\.jsonl:2: id .* is not a plain name"):
             load_benchmark(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('"problem answer"', "expected a JSON object, got 'problem answer'"),
+            ('{"problem": "   ", "answer": "1"}', "item 0001: problem is blank"),
+            ('{"problem": null, "answer": "1"}', "problem must be text, got None"),
+            ('{"problem": 7, "answer": "1"}', "problem must be text, got 7"),
+            ('{"problem": "p", "answer": null}', "answer must be text or an integer, got None"),
+            ('{"problem": "p", "answer": true}', "answer must be text or an integer, got True"),
+            ('{"problem": "p", "answer": [1, 2]}', "answer must be text or an integer, got [1, 2]"),
+            ('{"id": null, "problem": "p", "answer": "1"}', "id must be text or an integer, got None"),
+            ('{"id": false, "problem": "p", "answer": "1"}', "id must be text or an integer, got False"),
+        ],
+    )
+    def test_fields_must_hold_text(self, tmp_path, line, message):
+        path = tmp_path / "bench.jsonl"
+        path.write_text('{"problem": "p", "answer": 1}\n' + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"bench.jsonl:2: {message}")):
+            load_benchmark(path)
+
+    def test_integer_answer_and_id_read_as_text(self, tmp_path):
+        path = tmp_path / "bench.jsonl"
+        path.write_text('{"id": 7, "problem": "p", "answer": 42}\n')
+        (item,) = load_benchmark(path)
+        assert (item.id, item.answer) == ("7", "42")
+
+    def test_item_with_blank_problem_rejected(self):
+        with pytest.raises(ValueError, match="item x: problem is blank"):
+            BenchmarkItem(id="x", problem=" \n", answer="1")
+
     def test_choice_mode_validation(self, tmp_path):
         path = tmp_path / "bench.jsonl"
         letters = [chr(ord("A") + k) for k in range(27)]
@@ -466,9 +496,11 @@ class TestLockstepAnswers:
                 session = ModelSession(backend=backend, seed=k)
                 query = Query(f"i{k}", f"Q: {sym} ->\nA:", "")
                 runners += [
-                    engine._base_steps(session, query, 16),
-                    engine._objective_steps(session, query, spec, opt, "entropy", 16),
-                    engine._sc_steps(session, query, (4,), 0.8, 16),
+                    engine._base_steps(session, query, max_new_tokens=16),
+                    engine._objective_steps(
+                        session, query, spec=spec, opt_cfg=opt, loss="entropy", max_new_tokens=16
+                    ),
+                    engine._sc_steps(session, query, budgets=(4,), temperature=0.8, max_new_tokens=16),
                 ]
             results = []
             for outcome, _ in engine.run_together(backend, runners):

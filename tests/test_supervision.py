@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -253,4 +254,22 @@ class TestPairFiles:
         path = tmp_path / "pairs.jsonl"
         path.write_text('{"problem": "p", "solution": "s"}\n{"problem": "only"}\n')
         with pytest.raises(ValueError, match=":2:"):
+            load_pairs(path)
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ([1, 2], "expected a JSON object, got [1, 2]"),
+            ({"problem": 3, "solution": "s"}, "problem must be str, got 3"),
+            ({"problem": "p", "solution": None}, "solution must be str, got None"),
+            ({"problem": "p", "solution": "s", "index": None}, "index must be int, got None"),
+            ({"problem": "p", "solution": "s", "index": True}, "index must be int, got True"),
+            ({"problem": "p", "solution": "s", "conditioned": "false"}, "conditioned must be bool, got 'false'"),
+            ({"problem": "p", "solution": "s", "gen_tokens": 1.5}, "gen_tokens must be int, got 1.5"),
+        ],
+    )
+    def test_mistyped_line_reports_number(self, tmp_path, bad, reason):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"problem": "p", "solution": "s"}\n' + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"pairs.jsonl:2: malformed pair line ({reason})")):
             load_pairs(path)
