@@ -17,8 +17,6 @@ from .engine import (
     adapt,
     base_answer,
     quest,
-    quest_no_lora,
-    quest_no_query,
     self_consistency,
     tent,
     tlm,

@@ -23,12 +23,17 @@ from .session import (
 )
 
 
-def _reference_factory(checkpoint=None, seed: int = 0, **config_overrides):
+def _reference_factory(checkpoint=None, **config_overrides):
     if checkpoint is not None:
         if config_overrides:
             raise ValueError("pass either a checkpoint or config overrides, not both")
         return load_checkpoint(checkpoint)
-    return ReferenceBackend.fresh(RefConfig(**config_overrides), seed=seed)
+    if not config_overrides:
+        # a fresh model's output head is zero: it would answer every item with nothing
+        raise ValueError(
+            "the reference backend needs a model checkpoint: pass --checkpoint FILE.qstb"
+        )
+    return ReferenceBackend.fresh(RefConfig(**config_overrides))
 
 
 register_backend("reference", _reference_factory)

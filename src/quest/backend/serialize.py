@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 from typing import BinaryIO, Union
 
@@ -59,17 +60,8 @@ def read_tensor(f: BinaryIO, shape: tuple[int, ...], dtype: str) -> np.ndarray:
 
 def save_checkpoint(backend: ReferenceBackend, path: Union[str, Path]) -> None:
     cfg = backend.config
-    meta = {
-        "charset": cfg.charset,
-        "n_layer": cfg.n_layer,
-        "d_model": cfg.d_model,
-        "n_head": cfg.n_head,
-        "max_len": cfg.max_len,
-        "dtype": cfg.dtype,
-        "init_std": cfg.init_std,
-    }
     with open(path, "wb") as f:
-        write_header(f, CHECKPOINT_MAGIC, meta)
+        write_header(f, CHECKPOINT_MAGIC, asdict(cfg))
         for name in param_names(cfg.n_layer):
             write_tensor(f, backend.params[name])
 

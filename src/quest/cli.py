@@ -43,7 +43,7 @@ class RunConfig:
     accumulation 4, 4096-token budgets, greedy final decoding)."""
 
     backend: str = "reference"
-    backend_options: dict = field(default_factory=dict)
+    checkpoint: Optional[str] = None
     benchmark: Optional[str] = None
     method: str = "quest"
     generation: GenConfig = field(default_factory=GenConfig)
@@ -167,7 +167,7 @@ _FLAGS = (
     (("generate", "adapt", "answer", "eval", "compare"), (
         ("--config", None, {"help": "JSON config file"}),
         ("--backend", "backend", {}),
-        ("--checkpoint", None, {"help": "reference checkpoint file (.qstb)"}),
+        ("--checkpoint", "checkpoint", {"help": "reference checkpoint file (.qstb)"}),
         ("--benchmark", "benchmark", {}),
         ("--out", "out_dir", {}),
         ("--seed", "seed", {"type": int}),
@@ -212,10 +212,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             section, _, name = key.rpartition(".")
             (overrides.setdefault(section, {}) if section else overrides)[name] = value
-    cfg = load_config(args.config, overrides)
-    if args.checkpoint:
-        cfg = replace(cfg, backend_options={**cfg.backend_options, "checkpoint": args.checkpoint})
-    return cfg
+    return load_config(args.config, overrides)
+
+
+def _session(cfg: RunConfig):
+    """The run's session; the backend gets ``checkpoint=`` only when one is set."""
+    options = {} if cfg.checkpoint is None else {"checkpoint": cfg.checkpoint}
+    return create_session(cfg.backend, seed=cfg.seed, **options)
 
 
 def _load_items(cfg: RunConfig, item_id: Optional[str] = None):
@@ -253,8 +256,8 @@ def _stage(args):
         raise ValueError(
             f"{args.command} runs quest's stages only, but the config names method {cfg.method!r}"
         )
-    session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
-    return cfg, session, _load_items(cfg, args.item_id)
+    items = _load_items(cfg, args.item_id)
+    return cfg, _session(cfg), items
 
 
 def _cmd_generate(args) -> int:
@@ -331,8 +334,8 @@ def _cmd_answer(args) -> int:
 def _sweep(cfg: RunConfig, methods: list[str], report_dir: Path):
     """``evaluate`` each method, a sampled one at every budget of ``sc_samples``,
     and report all records in ``report_dir``; returns the summaries and paths."""
-    session = create_session(cfg.backend, seed=cfg.seed, **cfg.backend_options)
     items = _load_items(cfg)
+    session = _session(cfg)
     spec = _adapter_spec(cfg, session)
     _echo_config(cfg)
     results = [

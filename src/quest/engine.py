@@ -14,7 +14,8 @@ Each method is a runner: it fits (pair generation, adaptation), yields the
 answer requests it is about to decode, and once resumed reads them back
 through ``generate``. ``run_together`` runs many queries' runners side by
 side and decodes all their answers in lock-step. ``METHODS`` holds each
-method's runner, and each public method function runs its row alone.
+method's runner, and each public method function runs its row alone; the
+ablation arms ``quest_no_query`` and ``quest_no_lora`` have rows only.
 Self-consistency draws once for every budget of a sweep: budget n votes on
 the first n samples of the largest budget.
 """
@@ -484,34 +485,6 @@ def quest(
     its own generator); tests substitute a scripted generator here.
     """
     return _run("quest", session, query, gen_cfg=gen_cfg, spec=spec, opt_cfg=opt_cfg,
-                generator_session=generator_session, max_new_tokens=max_new_tokens)
-
-
-def quest_no_query(
-    session: ModelSession,
-    query: Query,
-    gen_cfg: GenConfig,
-    spec: AdapterSpec,
-    opt_cfg: OptConfig,
-    *,
-    generator_session: Optional[ModelSession] = None,
-    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
-) -> MethodResult:
-    """Ablation: same pipeline trained on query-independent pairs."""
-    return _run("quest_no_query", session, query, gen_cfg=gen_cfg, spec=spec, opt_cfg=opt_cfg,
-                generator_session=generator_session, max_new_tokens=max_new_tokens)
-
-
-def quest_no_lora(
-    session: ModelSession,
-    query: Query,
-    gen_cfg: GenConfig,
-    *,
-    generator_session: Optional[ModelSession] = None,
-    max_new_tokens: int = ANSWER_MAX_NEW_TOKENS,
-) -> MethodResult:
-    """Ablation: generated pairs become in-context exemplars; no updates."""
-    return _run("quest_no_lora", session, query, gen_cfg=gen_cfg,
                 generator_session=generator_session, max_new_tokens=max_new_tokens)
 
 

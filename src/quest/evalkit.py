@@ -192,6 +192,8 @@ class BenchmarkItem:
     def __post_init__(self):
         if not self.problem.strip():
             raise ValueError(f"item {self.id}: problem is blank")
+        if not self.answer.strip():
+            raise ValueError(f"item {self.id}: answer is blank")
         if self.choices is not None:
             if not 1 <= len(self.choices) <= len(string.ascii_uppercase):
                 raise ValueError(f"item {self.id}: {len(self.choices)} choices, not 1 to 26")
@@ -215,7 +217,8 @@ def load_benchmark(path: Union[str, Path]) -> list[BenchmarkItem]:
     zero-padded indices, malformed lines fail with their line number.
 
     Each line is an object. ``problem`` is text that is not blank; ``answer``,
-    and ``id`` when present, are text or an integer, never a bool. Ids name
+    and ``id`` when present, are text or an integer, never a bool, and the
+    gold read from ``answer`` (after a ``####`` marker) is not blank. Ids name
     per-item directories and seed labels, so each must be unique and one
     plain path component. ``choices``, when present, must be a list of 1 to
     26 strings; it alone makes an item multiple choice, with a gold letter.

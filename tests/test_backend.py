@@ -1,5 +1,5 @@
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from quest.backend import (
 )
 from quest.backend import reference
 from quest.backend.reference import _draw, _RefCore, init_params, param_names
+from quest.backend.serialize import read_header
 
 
 class TestTokenizer:
@@ -691,6 +692,19 @@ class TestCheckpointFormat:
         loaded = load_checkpoint(path)
         assert loaded.checksum() == ab_backend.checksum()
         assert loaded.config == ab_backend.config
+
+    def test_every_config_field_round_trips(self, tmp_path):
+        cfg = RefConfig(charset="xyz01", n_layer=1, d_model=8, n_head=2, max_len=12,
+                        dtype="float64", init_std=0.05)
+        backend = ReferenceBackend.fresh(cfg, seed=3)
+        path = tmp_path / "model.qstb"
+        save_checkpoint(backend, path)
+        with open(path, "rb") as f:
+            header = read_header(f, b"QSTB")
+        assert set(header) == {f.name for f in fields(RefConfig)}
+        loaded = load_checkpoint(path)
+        assert loaded.config == cfg
+        assert loaded.checksum() == backend.checksum()
 
     def test_magic_bytes(self, tmp_path, ab_backend):
         path = tmp_path / "model.qstb"

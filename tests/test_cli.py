@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +13,14 @@ import pytest
 
 from quest import cli, engine
 from quest.adapters import init_adapter, save_adapter, spec_for_all_modules
-from quest.backend import AdaptableModuleInfo, ModelSession, ReferenceBackend, register_backend
+from quest.backend import (
+    AdaptableModuleInfo,
+    ModelSession,
+    RefConfig,
+    ReferenceBackend,
+    register_backend,
+    save_checkpoint,
+)
 from quest.backend.reference import _RefCore
 from quest.cli import RunConfig, dump_config, load_config, run_command
 from quest.engine import OptConfig
@@ -70,6 +78,14 @@ def hybrid_name(pattern_world):
     backend = HybridPatternBackend(pattern_world["backend"], pattern_world["tag_of"])
     register_backend("pattern-hybrid", lambda: backend)
     return "pattern-hybrid"
+
+
+@pytest.fixture
+def untrained_checkpoint(tmp_path):
+    """A fresh reference model's checkpoint: its output head is zero."""
+    path = tmp_path / "untrained.qstb"
+    save_checkpoint(ReferenceBackend.fresh(RefConfig(), seed=0), path)
+    return path
 
 
 @pytest.fixture
@@ -157,8 +173,9 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "removed",
-        [{"workers": 2}, {"optimization": {"steps_count_micro": True}}],
-        ids=["workers", "steps_count_micro"],
+        [{"workers": 2}, {"optimization": {"steps_count_micro": True}},
+         {"backend_options": {"checkpoint": "model.qstb"}}],
+        ids=["workers", "steps_count_micro", "backend_options"],
     )
     def test_removed_keys_rejected(self, tmp_path, removed):
         path = tmp_path / "cfg.json"
@@ -185,11 +202,14 @@ class TestLoadConfig:
             ({"answer_max_new_tokens": 0}, "answer_max_new_tokens must be >= 1, got 0"),
             ({"optimization": {"shuffle": True}}, "unknown key optimization.'shuffle'"),
             ({"optimization": {"seed": 7}}, "optimizer seed derives from the top-level 'seed'"),
+            ({"checkpoint": 7}, "config key 'checkpoint' must be str, got 7"),
+            ({"checkpoint": False}, "config key 'checkpoint' must be str, got False"),
         ],
         ids=[
             "rank-float", "steps-float", "seed-str", "n_pairs-bool", "target_modules-str",
             "betas-one", "sc_samples-float", "section-int", "sc_temperature-0",
             "sc_temperature-negative", "answer_max_new-0", "shuffle-removed", "opt-seed",
+            "checkpoint-int", "checkpoint-false",
         ],
     )
     def test_bad_value_rejected(self, tmp_path, layer, message):
@@ -353,7 +373,9 @@ class TestCommands:
         assert records(out / "records.jsonl") == separate
         assert [r["n_samples"] for r in separate] == [1] * 3 + [2] * 3 + [4] * 3
 
-    def test_compare_decodes_each_pair_request_once(self, tmp_path, bench_path, monkeypatch):
+    def test_compare_decodes_each_pair_request_once(
+        self, tmp_path, bench_path, untrained_checkpoint, monkeypatch
+    ):
         requests, prefills = [], []
         generate, forward = ReferenceBackend.generate, _RefCore.forward
 
@@ -373,8 +395,9 @@ class TestCommands:
         # an untrained reference model samples unparseable text, so every
         # pair slot uses all of its retries
         code = run_command(
-            ["compare", "--methods", "quest,quest_no_lora", "--benchmark", str(bench_path),
-             "--out", str(tmp_path / "c")] + COMMON + ["--gen-max-new", "8", "--retries", "1"]
+            ["compare", "--methods", "quest,quest_no_lora", "--checkpoint", str(untrained_checkpoint),
+             "--benchmark", str(bench_path), "--out", str(tmp_path / "c")]
+            + COMMON + ["--gen-max-new", "8", "--retries", "1"]
         )
         assert code == 0
         assert len(requests) == 2 * 3 * 5 * 2  # methods x items x slots x attempts
@@ -384,7 +407,7 @@ class TestCommands:
         assert len(decoded) == len(requests) == 2 * len(set(requests))
 
     def test_compare_draws_each_item_once_for_every_budget_and_emits_ascending(
-        self, tmp_path, bench_path, monkeypatch, capsys
+        self, tmp_path, bench_path, untrained_checkpoint, monkeypatch, capsys
     ):
         requests, sampled = [], []
         generate, forward = ReferenceBackend.generate, _RefCore.forward
@@ -404,7 +427,8 @@ class TestCommands:
         out = tmp_path / "c"
         code = run_command(
             ["compare", "--methods", "sc", "--sc-samples", "1,2,4,8", "--sc-temperature", "0.8",
-             "--benchmark", str(bench_path), "--out", str(out)] + COMMON
+             "--checkpoint", str(untrained_checkpoint), "--benchmark", str(bench_path),
+             "--out", str(out)] + COMMON
         )
         assert code == 0
         records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
@@ -469,6 +493,24 @@ class TestCommands:
                     documented[name].update(flags)
         assert documented == {name: _options(sub) for name, sub in _subparsers().items()}
 
+    def test_readme_command_lines_parse_and_name_a_model(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+        commands = [
+            shlex.split(line, comments=True)[1:] for line in lines if line.split()[:1] == ["quest"]
+        ]
+        assert len(commands) >= 10
+        parser = cli._parser()
+        for argv in commands:
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README line does not parse: quest {shlex.join(argv)}")
+            # every command but selftest builds a session, which needs a model
+            if args.command != "selftest":
+                assert args.checkpoint or args.config, f"quest {shlex.join(argv)}"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -490,6 +532,18 @@ class TestCommands:
         assert caught.value.code == 2
         stray = " ".join(argv[1:])
         assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {stray}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "adapt", "answer", "eval", "compare"])
+    def test_reference_run_without_a_checkpoint_fails_before_run_dir(
+        self, tmp_path, bench_path, capsys, command
+    ):
+        # a fresh model would answer every item with nothing and exit 0
+        out = tmp_path / "x"
+        assert run_command([command, "--benchmark", str(bench_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the reference backend needs a model checkpoint: pass --checkpoint FILE.qstb\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "adapt", "answer"])

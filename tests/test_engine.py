@@ -11,12 +11,11 @@ from quest.backend.reference import init_params
 from quest.engine import (
     METHODS,
     OptConfig,
+    _run,
     adapt,
     base_answer,
     derive_item_seeds,
     quest,
-    quest_no_lora,
-    quest_no_query,
     self_consistency,
     sft_update,
     tent,
@@ -310,9 +309,9 @@ class TestQuest:
         gen_sess = ModelSession(backend=stub, seed=0)
         q = Query(id="q", text="DISTINCTIVEQUERYTEXT", system_prompt="")
         spec = spec_for_all_modules(fresh_backend.adaptable_modules(), rank=2)
-        result = quest_no_query(
-            sess, q, GenConfig(n_pairs=2, max_new_tokens=256), spec, OptConfig(steps=1),
-            generator_session=gen_sess, max_new_tokens=4,
+        result = _run(
+            "quest_no_query", sess, q, gen_cfg=GenConfig(n_pairs=2, max_new_tokens=256), spec=spec,
+            opt_cfg=OptConfig(steps=1), generator_session=gen_sess, max_new_tokens=4,
         )
         assert result.telemetry.pairs_used == 2
 
@@ -478,9 +477,9 @@ class TestQuestNoLora:
         sess = ModelSession(backend=solver, seed=0)
         gen_sess = ModelSession(backend=gen_stub, seed=0)
         q = Query(id="q", text="THEQUESTION", system_prompt="SYS")
-        result = quest_no_lora(
-            sess, q, GenConfig(n_pairs=2, max_new_tokens=512), generator_session=gen_sess,
-            max_new_tokens=64,
+        result = _run(
+            "quest_no_lora", sess, q, gen_cfg=GenConfig(n_pairs=2, max_new_tokens=512),
+            generator_session=gen_sess, max_new_tokens=64,
         )
         assert fresh_backend.checksum() == before
         final_prompt = prompts_seen[-1]
@@ -498,8 +497,8 @@ class TestQuestNoLora:
         gen_stub = StubBackend(lambda prompt, call: "nothing parseable")
         sess = ModelSession(backend=backend, seed=4)
         q = Query(id="q", text="Q: d ->\nA:", system_prompt="")
-        result = quest_no_lora(
-            sess, q, GenConfig(n_pairs=2, max_parse_retries=0),
+        result = _run(
+            "quest_no_lora", sess, q, gen_cfg=GenConfig(n_pairs=2, max_parse_retries=0),
             generator_session=ModelSession(backend=gen_stub, seed=4), max_new_tokens=12,
         )
         assert result.answer_text == base_answer(sess, q, max_new_tokens=12).answer_text
@@ -522,8 +521,9 @@ class QueryFree:
 
 @pytest.mark.parametrize("name", list(METHODS))
 def test_public_function_equals_the_sweep_record(pattern_world, name):
-    """Each public method function, given an item's derived seeds, returns
-    what ``evaluate`` records for that item."""
+    """Each method run alone, by its public function or, for an ablation arm,
+    by ``_run``, given an item's derived seeds, returns what ``evaluate``
+    records for that item."""
     backend = pattern_world["backend"]
     gen_cfg = GenConfig(n_pairs=3, max_new_tokens=32, temperature=0.8)
     spec = spec_for_all_modules(backend.adaptable_modules(), rank=4, alpha=8)
@@ -548,8 +548,9 @@ def test_public_function_equals_the_sweep_record(pattern_world, name):
         "tent": lambda: tent(session, query, spec, opt_cfg, max_new_tokens=16),
         "tlm": lambda: tlm(session, query, spec, opt_cfg, max_new_tokens=16),
         "self_consistency": lambda: self_consistency(session, query, 3, 0.8, max_new_tokens=16),
-        "quest_no_query": lambda: quest_no_query(session, query, gen_cfg, spec, opt_cfg, **pairs),
-        "quest_no_lora": lambda: quest_no_lora(session, query, gen_cfg, **pairs),
+        "quest_no_query": lambda: _run("quest_no_query", session, query, gen_cfg=gen_cfg,
+                                       spec=spec, opt_cfg=opt_cfg, **pairs),
+        "quest_no_lora": lambda: _run("quest_no_lora", session, query, gen_cfg=gen_cfg, **pairs),
     }
     result = calls[name]()
     assert record.error is None

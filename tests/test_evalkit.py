@@ -256,6 +256,8 @@ class TestLoadBenchmark:
         [
             ('"problem answer"', "expected a JSON object, got 'problem answer'"),
             ('{"problem": "   ", "answer": "1"}', "item 0001: problem is blank"),
+            ('{"problem": "p", "answer": "   "}', "item 0001: answer is blank"),
+            ('{"problem": "p", "answer": "#### "}', "item 0001: answer is blank"),
             ('{"problem": null, "answer": "1"}', "problem must be text, got None"),
             ('{"problem": 7, "answer": "1"}', "problem must be text, got 7"),
             ('{"problem": "p", "answer": null}', "answer must be text or an integer, got None"),
