@@ -9,7 +9,7 @@ reference transformer for fully deterministic desk-scale verification.
 
 from . import adapters, backend, engine, evalkit, supervision
 from .adapters import AdapterSpec, AdapterState, init_adapter, spec_for_all_modules
-from .backend import ModelSession, RefConfig, ReferenceBackend, create_session, train_reference
+from .backend import ModelSession, RefConfig, ReferenceBackend, train_reference
 from .engine import (
     AdaptTelemetry,
     MethodResult,

@@ -208,9 +208,16 @@ def save_adapter(state: AdapterState, path: Union[str, Path]) -> None:
     }
     with open(path, "wb") as f:
         write_header(f, ADAPTER_MAGIC, meta)
-        for name, (a, b) in state.factors.items():
-            write_tensor(f, a)
-            write_tensor(f, b)
+        write_tensor(f, state.buffer)  # A then B of each target, in order
+
+
+def _header_field(entry: dict, key: str, types: tuple, where: str = ""):
+    """``entry[key]`` if it has one of ``types`` (a bool is no number), else an error."""
+    value = entry.get(key)
+    if isinstance(value, bool) or not isinstance(value, types):
+        want = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"adapter file field '{where}{key}' must be {want}, got {value!r}")
+    return value
 
 
 def load_adapter(path: Union[str, Path]) -> AdapterState:
@@ -218,26 +225,29 @@ def load_adapter(path: Union[str, Path]) -> AdapterState:
 
     with open(path, "rb") as f:
         meta = read_header(f, ADAPTER_MAGIC)
-        rank = meta["rank"]
         # files written before the header carried a dtype hold float32 factors
         dtype = meta.get("dtype", "float32")
         if dtype not in ADAPTER_DTYPES:
             raise ValueError(f"unsupported adapter dtype {dtype!r}")
+        targets = [
+            [_header_field(entry, key, types, f"targets[{i}].")
+             for key, types in (("name", (str,)), ("d_in", (int,)), ("d_out", (int,)))]
+            for i, entry in enumerate(meta["targets"])
+        ]
         spec = AdapterSpec(
-            rank=rank,
-            alpha=meta["alpha"],
-            dropout=meta["dropout"],
-            target_modules=tuple(entry["name"] for entry in meta["targets"]),
-            init_seed=meta["init_seed"],
+            rank=_header_field(meta, "rank", (int,)),
+            alpha=float(_header_field(meta, "alpha", (int, float))),
+            dropout=float(_header_field(meta, "dropout", (int, float))),
+            target_modules=tuple(name for name, _, _ in targets),
+            init_seed=_header_field(meta, "init_seed", (int,)),
         )
-        dims = {entry["name"]: (entry["d_in"], entry["d_out"]) for entry in meta["targets"]}
-        if len(dims) != len(meta["targets"]):
+        step_count = _header_field(meta, "step_count", (int,))
+        dims = {name: (d_in, d_out) for name, d_in, d_out in targets}
+        if len(dims) != len(targets):
             raise ValueError("adapter file lists a target module twice")
         state = _laid_out(spec, dims, dtype)
-        for a, b in state.factors.values():
-            a[...] = read_tensor(f, a.shape, dtype)
-            b[...] = read_tensor(f, b.shape, dtype)
+        state.buffer[...] = read_tensor(f, state.buffer.shape, dtype)
         if f.read(1):
             raise ValueError("trailing bytes after adapter factors")
-    state.step_count = meta["step_count"]
+    state.step_count = step_count
     return state

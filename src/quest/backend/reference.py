@@ -101,6 +101,11 @@ class RefConfig:
     init_std: float = 0.02
 
     def __post_init__(self):
+        if self.dtype not in ("float32", "float64"):  # the dtypes an adapter file can hold
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        for key in ("n_layer", "d_model", "n_head"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.d_model % self.n_head:
             raise ValueError("d_model must be divisible by n_head")
         if len(self.charset) + 1 > 128:

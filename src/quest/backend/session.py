@@ -1,17 +1,17 @@
-"""Model sessions, adaptable-module metadata, and the backend registry.
+"""Model sessions, adaptable-module metadata, and the backend protocol.
 
 A backend bundles tokenizer + parameters + forward/sampling machinery. A
 ModelSession wraps one backend together with an rng seed; adapters are values
 passed to each backend call, and the base parameters behind a session are
-never mutated. Backends are looked up by name through a small registry so
-external implementations can be plugged in next to the built-in "reference"
-one.
+never mutated. Any object that satisfies ``Backend`` can stand in for the
+built-in reference model: wrap it in a ``ModelSession``, or hand the CLI's
+``run_command`` a factory that builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Protocol, Sequence
+from typing import Any, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -118,27 +118,3 @@ def check_loss_mask(tokens: Sequence[int], loss_mask: Sequence[int]) -> None:
     if loss_mask[0]:
         raise ValueError("loss mask must be 0 at position 0 (no prefix to predict from)")
 
-
-# -- registry -----------------------------------------------------------------
-
-_REGISTRY: dict[str, Callable[..., Any]] = {}
-
-
-def register_backend(name: str, factory: Callable[..., Any]) -> None:
-    """Register a backend factory; ``factory(**options)`` must return a Backend."""
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-def create_session(name: str, *, seed: int = 0, **options: Any) -> ModelSession:
-    """Instantiate a registered backend and wrap it in a fresh session."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown backend {name!r}; registered: {', '.join(available_backends()) or '(none)'}"
-        ) from None
-    return ModelSession(backend=factory(**options), seed=seed)

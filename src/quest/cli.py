@@ -4,6 +4,9 @@ Subcommands: ``generate`` (emit pairs.jsonl per query), ``adapt`` (pairs ->
 adapter + telemetry), ``answer`` (query + optional adapter -> text), ``eval``
 (one-method sweep with reports), ``compare`` (multi-method sweep including the
 sampling curve), ``selftest`` (invariant suite on the reference backend).
+Each command runs on the model that ``run_command``'s ``backend`` factory
+builds from the run's ``checkpoint`` setting; by default that is the reference
+checkpoint.
 
 Configuration precedence is flags > config file > defaults; the resolved
 config is echoed into the run directory as JSON and can be fed back in with
@@ -15,16 +18,15 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
-import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import engine
 from .adapters import AdapterSpec, check_adapter, init_adapter, load_adapter, save_adapter
-from .backend import create_session
+from .backend import ModelSession, load_checkpoint
 from .engine import OptConfig, derive_item_seeds
 from .evalkit import emit_report, evaluate, item_to_query, load_benchmark
 from .supervision import (
@@ -42,7 +44,6 @@ class RunConfig:
     (N=5 pairs, T=10 updates, rank 16, alpha 32, dropout 0.05, lr 1e-4,
     accumulation 4, 4096-token budgets, greedy final decoding)."""
 
-    backend: str = "reference"
     checkpoint: Optional[str] = None
     benchmark: Optional[str] = None
     method: str = "quest"
@@ -134,8 +135,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
                 flat[key] = value
         cfg = _apply_section(cfg, flat, "")
     cfg = replace(cfg, method=engine.method_named(cfg.method))
-    if not 0 < cfg.sc_temperature < math.inf:
-        raise ValueError(f"sc_temperature must be finite and > 0, got {cfg.sc_temperature}")
     engine.check_sampling(cfg.sc_samples, cfg.sc_temperature)
     if cfg.answer_max_new_tokens < 1:
         raise ValueError(f"answer_max_new_tokens must be >= 1, got {cfg.answer_max_new_tokens}")
@@ -166,7 +165,6 @@ def _budgets(text: str) -> list[int]:
 _FLAGS = (
     (("generate", "adapt", "answer", "eval", "compare"), (
         ("--config", None, {"help": "JSON config file"}),
-        ("--backend", "backend", {}),
         ("--checkpoint", "checkpoint", {"help": "reference checkpoint file (.qstb)"}),
         ("--benchmark", "benchmark", {}),
         ("--out", "out_dir", {}),
@@ -215,10 +213,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return load_config(args.config, overrides)
 
 
-def _session(cfg: RunConfig):
-    """The run's session; the backend gets ``checkpoint=`` only when one is set."""
-    options = {} if cfg.checkpoint is None else {"checkpoint": cfg.checkpoint}
-    return create_session(cfg.backend, seed=cfg.seed, **options)
+def _reference(checkpoint: Optional[str]):
+    """The default backend: the reference model saved at ``checkpoint``."""
+    if checkpoint is None:
+        # a fresh model's output head is zero: it would answer every item with nothing
+        raise ValueError(
+            "the reference backend needs a model checkpoint: pass --checkpoint FILE.qstb"
+        )
+    return load_checkpoint(checkpoint)
+
+
+def _session(cfg: RunConfig, backend) -> ModelSession:
+    return ModelSession(backend=backend(cfg.checkpoint), seed=cfg.seed)
 
 
 def _load_items(cfg: RunConfig, item_id: Optional[str] = None):
@@ -248,7 +254,7 @@ def _echo_config(cfg: RunConfig) -> Path:
     return out
 
 
-def _stage(args):
+def _stage(args, backend):
     """The config, session and items of one of quest's stages. A config that
     names another method fails here, before the run directory is made."""
     cfg = _config_from_args(args)
@@ -257,11 +263,11 @@ def _stage(args):
             f"{args.command} runs quest's stages only, but the config names method {cfg.method!r}"
         )
     items = _load_items(cfg, args.item_id)
-    return cfg, _session(cfg), items
+    return cfg, _session(cfg, backend), items
 
 
-def _cmd_generate(args) -> int:
-    cfg, session, items = _stage(args)
+def _cmd_generate(args, backend) -> int:
+    cfg, session, items = _stage(args, backend)
     out = _echo_config(cfg)
     for item in items:
         seeds = derive_item_seeds(cfg.seed, item.id)
@@ -274,8 +280,8 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_adapt(args) -> int:
-    cfg, session, items = _stage(args)
+def _cmd_adapt(args, backend) -> int:
+    cfg, session, items = _stage(args, backend)
     spec = _adapter_spec(cfg, session)
     out = _echo_config(cfg)
     for item in items:
@@ -309,8 +315,8 @@ def _cmd_adapt(args) -> int:
     return 0
 
 
-def _cmd_answer(args) -> int:
-    cfg, session, items = _stage(args)
+def _cmd_answer(args, backend) -> int:
+    cfg, session, items = _stage(args, backend)
     given = None
     if args.adapter:
         # a file that cannot serve this backend fails before the run directory is made
@@ -331,11 +337,11 @@ def _cmd_answer(args) -> int:
     return 0
 
 
-def _sweep(cfg: RunConfig, methods: list[str], report_dir: Path):
+def _sweep(cfg: RunConfig, methods: list[str], report_dir: Path, backend):
     """``evaluate`` each method, a sampled one at every budget of ``sc_samples``,
     and report all records in ``report_dir``; returns the summaries and paths."""
     items = _load_items(cfg)
-    session = _session(cfg)
+    session = _session(cfg, backend)
     spec = _adapter_spec(cfg, session)
     _echo_config(cfg)
     results = [
@@ -352,7 +358,7 @@ def _sweep(cfg: RunConfig, methods: list[str], report_dir: Path):
     return [summary for _, summaries in results for summary in summaries], paths
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, backend) -> int:
     cfg = _config_from_args(args)
     sampled = engine.METHODS[cfg.method].sampled
     flags = (("--sc-samples", args.sc_samples), ("--sc-temperature", args.sc_temperature))
@@ -367,7 +373,7 @@ def _cmd_eval(args) -> int:
             + ",".join(map(str, cfg.sc_samples))
             + "; pass --sc-samples N, or run compare for a sweep"
         )
-    (summary,), paths = _sweep(cfg, [cfg.method], Path(cfg.out_dir) / cfg.method)
+    (summary,), paths = _sweep(cfg, [cfg.method], Path(cfg.out_dir) / cfg.method, backend)
     print(
         f"{cfg.method}: accuracy {summary['accuracy']:.4f}, "
         f"mean tokens {summary['mean_tokens']:.1f} -> {paths['results']}"
@@ -375,7 +381,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, backend) -> int:
     cfg = _config_from_args(args)
     if cfg.method != RunConfig.method:
         raise ValueError(
@@ -387,14 +393,14 @@ def _cmd_compare(args) -> int:
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
         raise ValueError(f"--methods names {', '.join(repeated)} more than once")
-    summaries, paths = _sweep(cfg, methods, Path(cfg.out_dir))
+    summaries, paths = _sweep(cfg, methods, Path(cfg.out_dir), backend)
     for summary in summaries:
         print(f"{summary['method']}: accuracy {summary['accuracy']:.4f}")
     print(f"reports -> {paths['results']}, {paths['curve']}")
     return 0
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args, backend) -> int:
     from .selftest import run_selftest
 
     return run_selftest()
@@ -417,16 +423,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_command(argv: Sequence[str]) -> int:
+def run_command(
+    argv: Sequence[str], backend: Optional[Callable[[Optional[str]], Any]] = None
+) -> int:
+    """Run one ``quest`` command on the model ``backend(checkpoint)`` returns,
+    called with the run's ``checkpoint`` setting (``None`` when unset). The
+    default loads the reference checkpoint."""
     args = _parser().parse_args(list(argv))
     try:
-        return args.fn(args)
+        return args.fn(args, backend or _reference)
     except BrokenPipeError:
         return 1
     except Exception as exc:
-        # KeyError's str() wraps the message in quotes; everything else prints as-is
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

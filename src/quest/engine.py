@@ -411,7 +411,7 @@ def check_sampling(budgets: Sequence[int], temperature: float) -> None:
     if len(set(budgets)) != len(budgets):
         raise ValueError(f"sc_samples repeats a budget: {','.join(map(str, budgets))}")
     if not 0 < temperature < math.inf:
-        raise ValueError(f"self-consistency requires a finite temperature > 0, got {temperature}")
+        raise ValueError(f"sc_temperature must be finite and > 0, got {temperature}")
 
 
 # -- the method table -------------------------------------------------------------

@@ -9,6 +9,7 @@ vs "0.5" can never be a false negative.
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import string
@@ -464,14 +465,13 @@ def emit_report(
 
     keys = sorted(by_key, key=key_order)
 
-    with open(paths["results"], "w", encoding="utf-8") as f:
-        f.write("method,benchmark,accuracy,mean_tokens,mean_seconds\n")
+    with open(paths["results"], "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")  # quotes a benchmark name holding a comma
+        writer.writerow(["method", "benchmark", "accuracy", "mean_tokens", "mean_seconds"])
         for key in keys:
             s = summarize(by_key[key])
-            f.write(
-                f"{key},{benchmark},{s['accuracy']:.4f},{s['mean_tokens']:.2f},"
-                f"{s['mean_seconds']:.4f}\n"
-            )
+            writer.writerow([key, benchmark, f"{s['accuracy']:.4f}", f"{s['mean_tokens']:.2f}",
+                             f"{s['mean_seconds']:.4f}"])
 
     with open(paths["curve"], "w", encoding="utf-8") as f:
         f.write("method,n_samples,mean_tokens,accuracy\n")

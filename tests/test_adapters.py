@@ -306,6 +306,38 @@ class TestAdapterFile:
         with pytest.raises(ValueError, match="lists a target module twice"):
             load_adapter(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"step_count": "x"}, "'step_count' must be int, got 'x'"),
+            ({"rank": True}, "'rank' must be int, got True"),
+            ({"init_seed": 1.5}, "'init_seed' must be int, got 1.5"),
+            ({"alpha": "32"}, "'alpha' must be int or float, got '32'"),
+            ({"dropout": None}, "'dropout' must be int or float, got None"),
+            ({"targets": [{"name": 3, "d_in": 4, "d_out": 4}]}, "'targets[0].name' must be str, got 3"),
+            ({"targets": [{"name": "m0", "d_in": 4.0, "d_out": 4}]},
+             "'targets[0].d_in' must be int, got 4.0"),
+            ({"targets": [{"name": "m0", "d_in": 4, "d_out": False}]},
+             "'targets[0].d_out' must be int, got False"),
+        ],
+        ids=["step_count-str", "rank-bool", "init_seed-float", "alpha-str", "dropout-null",
+             "name-int", "d_in-float", "d_out-bool"],
+    )
+    def test_mistyped_header_field_is_named(self, tmp_path, edit, message):
+        from quest.backend.serialize import read_header, write_header
+
+        mods = [AdaptableModuleInfo("m0", 4, 4)]
+        path = tmp_path / "adapter.qsta"
+        save_adapter(init_adapter(spec_for_all_modules(mods, rank=2), mods), path)
+        with open(path, "rb") as f:
+            meta = read_header(f, b"QSTA")
+            payload = f.read()
+        with open(path, "wb") as f:
+            write_header(f, b"QSTA", {**meta, **edit})
+            f.write(payload)
+        with pytest.raises(ValueError, match=re.escape(f"adapter file field {message}")):
+            load_adapter(path)
+
     def test_header_without_dtype_reads_float32(self, tmp_path, random_backend):
         from quest.backend.serialize import read_header, write_header
 

@@ -10,14 +10,12 @@ from quest.backend import (
     ModelSession,
     RefConfig,
     ReferenceBackend,
-    create_session,
     load_checkpoint,
-    register_backend,
     save_checkpoint,
 )
 from quest.backend import reference
 from quest.backend.reference import _draw, _RefCore, init_params, param_names
-from quest.backend.serialize import read_header
+from quest.backend.serialize import read_header, write_header
 
 
 class TestTokenizer:
@@ -685,6 +683,24 @@ class TestFrozenBase:
         assert be.params["wte"][0, 0] != 123.0
 
 
+class TestRefConfig:
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"dtype": "int32"}, "dtype must be float32 or float64, got 'int32'"),
+            ({"dtype": "float16"}, "dtype must be float32 or float64, got 'float16'"),
+            ({"n_layer": 0}, "n_layer must be at least 1, got 0"),
+            ({"d_model": 0}, "d_model must be at least 1, got 0"),
+            ({"n_head": 0}, "n_head must be at least 1, got 0"),
+            ({"n_head": 3}, "d_model must be divisible by n_head"),
+        ],
+        ids=["int32", "float16", "n_layer-0", "d_model-0", "n_head-0", "n_head-3"],
+    )
+    def test_unrunnable_model_rejected(self, settings, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RefConfig(**settings)
+
+
 class TestCheckpointFormat:
     def test_round_trip(self, tmp_path, ab_backend):
         path = tmp_path / "model.qstb"
@@ -706,6 +722,19 @@ class TestCheckpointFormat:
         assert loaded.config == cfg
         assert loaded.checksum() == backend.checksum()
 
+    def test_integer_dtype_header_rejected(self, tmp_path, ab_backend):
+        path = tmp_path / "model.qstb"
+        save_checkpoint(ab_backend, path)
+        with open(path, "rb") as f:
+            header = read_header(f, b"QSTB")
+            payload = f.read()
+        assert header["dtype"] == "float32"
+        with open(path, "wb") as f:
+            write_header(f, b"QSTB", {**header, "dtype": "int32"})
+            f.write(payload)  # same length: int32 is four bytes too
+        with pytest.raises(ValueError, match="dtype must be float32 or float64, got 'int32'"):
+            load_checkpoint(path)
+
     def test_magic_bytes(self, tmp_path, ab_backend):
         path = tmp_path / "model.qstb"
         save_checkpoint(ab_backend, path)
@@ -726,22 +755,6 @@ class TestCheckpointFormat:
             "layers.0.attn.v",
             "layers.0.attn.o",
         ]
-
-
-class TestRegistry:
-    def test_reference_registered(self):
-        sess = create_session("reference", seed=4, charset="ab", d_model=16, n_head=2, max_len=16)
-        assert sess.backend.name == "reference"
-        assert sess.seed == 4
-
-    def test_unknown_backend(self):
-        with pytest.raises(KeyError, match="unknown backend"):
-            create_session("missing")
-
-    def test_user_registered_backend(self):
-        register_backend("fixture-null", lambda: None)
-        sess = create_session("fixture-null")
-        assert sess.backend is None
 
 
 def test_session_clone_is_independent(fresh_backend):

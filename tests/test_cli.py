@@ -18,7 +18,6 @@ from quest.backend import (
     ModelSession,
     RefConfig,
     ReferenceBackend,
-    register_backend,
     save_checkpoint,
 )
 from quest.backend.reference import _RefCore
@@ -74,10 +73,11 @@ class HybridPatternBackend:
 
 
 @pytest.fixture
-def hybrid_name(pattern_world):
+def hybrid_backend(pattern_world, monkeypatch):
+    """Makes the hybrid backend the CLI's default for the test's commands."""
     backend = HybridPatternBackend(pattern_world["backend"], pattern_world["tag_of"])
-    register_backend("pattern-hybrid", lambda: backend)
-    return "pattern-hybrid"
+    monkeypatch.setattr(cli, "_reference", lambda checkpoint: backend)
+    return backend
 
 
 @pytest.fixture
@@ -112,7 +112,7 @@ COMMON = [
 ANSWER = ["--answer-max-new", "16", "--system-prompt", "", "--seed", "9"]
 
 # the flag groups of the CLI, and the commands that take them
-RUN = ["--config", "--backend", "--checkpoint", "--benchmark", "--out", "--seed"]
+RUN = ["--config", "--checkpoint", "--benchmark", "--out", "--seed"]
 GENERATION = ["--pairs", "--gen-temperature", "--gen-max-new", "--retries"]
 TRAINING = ["--rank", "--alpha", "--dropout", "--steps", "--lr", "--accumulation", "--max-seq-len"]
 SWEEP = RUN + GENERATION + TRAINING + ["--system-prompt", "--answer-max-new", "--sc-samples",
@@ -174,8 +174,8 @@ class TestLoadConfig:
     @pytest.mark.parametrize(
         "removed",
         [{"workers": 2}, {"optimization": {"steps_count_micro": True}},
-         {"backend_options": {"checkpoint": "model.qstb"}}],
-        ids=["workers", "steps_count_micro", "backend_options"],
+         {"backend_options": {"checkpoint": "model.qstb"}}, {"backend": "reference"}],
+        ids=["workers", "steps_count_micro", "backend_options", "backend"],
     )
     def test_removed_keys_rejected(self, tmp_path, removed):
         path = tmp_path / "cfg.json"
@@ -251,18 +251,29 @@ class TestCommands:
         assert run_command(["eval", "--method", "base"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_backend_fails(self, tmp_path, bench_path, capsys):
-        code = run_command(
-            ["eval", "--backend", "nope", "--benchmark", str(bench_path), "--out", str(tmp_path)]
-        )
-        assert code == 1
-        assert "unknown backend" in capsys.readouterr().err
+    def test_backend_factory_gets_the_runs_checkpoint(self, tmp_path, bench_path):
+        stub = StubBackend(lambda prompt, call: "\\boxed{1}")
+        given = []
 
-    def test_eval_methods_write_disjoint_records(self, tmp_path, hybrid_name, bench_path):
+        def factory(checkpoint):
+            given.append(checkpoint)
+            return stub
+
+        run = ["eval", "--method", "base", "--rank", "4", "--benchmark", str(bench_path)]
+        assert run_command(run + ["--out", str(tmp_path / "a")], backend=factory) == 0
+        assert run_command(
+            run + ["--checkpoint", "my-model", "--out", str(tmp_path / "b")], backend=factory
+        ) == 0
+        assert given == [None, "my-model"]
+        assert stub.calls == 6  # one answer per item and run
+        records = (tmp_path / "b" / "base" / "records.jsonl").read_text().splitlines()
+        assert [json.loads(line)["raw_output"] for line in records] == ["\\boxed{1}"] * 3
+
+    def test_eval_methods_write_disjoint_records(self, tmp_path, hybrid_backend, bench_path):
         out = tmp_path / "run"
         for method in ("base", "quest"):
             code = run_command(
-                ["eval", "--backend", hybrid_name, "--benchmark", str(bench_path),
+                ["eval", "--benchmark", str(bench_path),
                  "--method", method, "--out", str(out)] + COMMON
             )
             assert code == 0
@@ -273,10 +284,10 @@ class TestCommands:
         quest_records = (out / "quest" / "records.jsonl").read_text().splitlines()
         assert len(base_records) == len(quest_records) == 3
 
-    def test_stage_replay_matches_fused_eval(self, tmp_path, hybrid_name, bench_path):
+    def test_stage_replay_matches_fused_eval(self, tmp_path, hybrid_backend, bench_path):
         fused = tmp_path / "fused"
         code = run_command(
-            ["eval", "--method", "quest", "--backend", hybrid_name,
+            ["eval", "--method", "quest",
              "--benchmark", str(bench_path), "--out", str(fused)] + COMMON
         )
         assert code == 0
@@ -300,9 +311,9 @@ class TestCommands:
         assert any(json.loads(p)["problem"] for p in
                    (staged / "it0" / "pairs.jsonl").read_text().splitlines())
 
-    def test_adapt_without_pairs_removes_a_stale_adapter(self, tmp_path, hybrid_name, bench_path):
+    def test_adapt_without_pairs_removes_a_stale_adapter(self, tmp_path, hybrid_backend, bench_path):
         out = tmp_path / "staged"
-        run = ["--backend", hybrid_name, "--benchmark", str(bench_path), "--item-id", "it0", "--seed", "9"]
+        run = ["--benchmark", str(bench_path), "--item-id", "it0", "--seed", "9"]
         adapt = ["adapt", "--rank", "8", "--alpha", "16", "--steps", "30", "--lr", "3e-3",
                  "--system-prompt", "", "--out", str(out)] + run
         assert run_command(["generate", "--pairs", "5", "--gen-max-new", "64", "--out", str(out)] + run) == 0
@@ -320,10 +331,10 @@ class TestCommands:
         base = (tmp_path / "base" / "it0" / "answer.txt").read_text()
         assert (out / "it0" / "answer.txt").read_text() == base
 
-    def test_compare_writes_curve_with_quest_point(self, tmp_path, hybrid_name, bench_path):
+    def test_compare_writes_curve_with_quest_point(self, tmp_path, hybrid_backend, bench_path):
         out = tmp_path / "cmp"
         code = run_command(
-            ["compare", "--methods", "base,quest,sc", "--backend", hybrid_name,
+            ["compare", "--methods", "base,quest,sc",
              "--benchmark", str(bench_path), "--out", str(out),
              "--sc-samples", "1,2", "--sc-temperature", "0.8"] + COMMON
         )
@@ -335,8 +346,8 @@ class TestCommands:
         results = (out / "results.csv").read_text().splitlines()
         assert any(row.startswith("self_consistency@2,") for row in results)
 
-    def test_eval_sc_samples_its_budget(self, tmp_path, hybrid_name, bench_path):
-        args = ["--backend", hybrid_name, "--benchmark", str(bench_path),
+    def test_eval_sc_samples_its_budget(self, tmp_path, hybrid_backend, bench_path):
+        args = ["--benchmark", str(bench_path),
                 "--sc-samples", "2", "--sc-temperature", "0.8"] + COMMON
         assert run_command(["eval", "--method", "sc", "--out", str(tmp_path / "e")] + args) == 0
         assert run_command(["compare", "--methods", "sc", "--out", str(tmp_path / "c")] + args) == 0
@@ -353,8 +364,8 @@ class TestCommands:
         assert evaluated == records(tmp_path / "c" / "records.jsonl")
         assert all(0 < r["generated_tokens"] <= 2 * 16 for r in evaluated)
 
-    def test_compare_sweep_matches_separate_evals(self, tmp_path, hybrid_name, bench_path):
-        args = ["--backend", hybrid_name, "--benchmark", str(bench_path),
+    def test_compare_sweep_matches_separate_evals(self, tmp_path, hybrid_backend, bench_path):
+        args = ["--benchmark", str(bench_path),
                 "--sc-temperature", "0.8"] + COMMON
 
         def records(path):
@@ -442,7 +453,7 @@ class TestCommands:
         assert len(set(requests)) == 3 * 8
 
     def test_compare_checks_every_method_before_running(
-        self, tmp_path, hybrid_name, bench_path, monkeypatch, capsys
+        self, tmp_path, hybrid_backend, bench_path, monkeypatch, capsys
     ):
         evaluated = []
         run_eval = cli.evaluate
@@ -453,7 +464,7 @@ class TestCommands:
 
         monkeypatch.setattr(cli, "evaluate", counting_evaluate)
         code = run_command(
-            ["compare", "--methods", "base,sc,bogus", "--backend", hybrid_name,
+            ["compare", "--methods", "base,sc,bogus",
              "--benchmark", str(bench_path), "--out", str(tmp_path / "x")] + COMMON
         )
         assert code == 1
@@ -461,10 +472,10 @@ class TestCommands:
         assert evaluated == []
         assert not (tmp_path / "x").exists()
 
-    def test_method_flag_rejected_before_run_dir(self, tmp_path, hybrid_name, bench_path, capsys):
+    def test_method_flag_rejected_before_run_dir(self, tmp_path, hybrid_backend, bench_path, capsys):
         with pytest.raises(SystemExit) as caught:
             run_command(
-                ["compare", "--method", "tent", "--backend", hybrid_name,
+                ["compare", "--method", "tent",
                  "--benchmark", str(bench_path), "--out", str(tmp_path / "x")] + COMMON
             )
         assert caught.value.code == 2
@@ -475,7 +486,7 @@ class TestCommands:
         commands = _subparsers()
         taken = {name: sorted(_options(sub)) for name, sub in commands.items()}
         assert taken == {name: sorted(flags) for name, flags in TAKES.items()}
-        assert sum(map(len, taken.values())) == 80
+        assert sum(map(len, taken.values())) == 75
         assert not any(sub.allow_abbrev for sub in commands.values())
 
     def test_readme_flag_table_matches_the_parsers(self):
@@ -520,13 +531,19 @@ class TestCommands:
             ["selftest", "--rank", "0"],
             ["eval", "--pair", "2"],  # not read as --pairs
             ["compare", "--method", "tent"],  # not read as --methods
+            ["generate", "--backend", "reference"],
+            ["adapt", "--backend", "reference"],
+            ["answer", "--backend", "reference"],
+            ["eval", "--backend", "reference"],
+            ["compare", "--backend", "reference"],
         ],
         ids=["generate-method", "generate-sc-samples", "answer-rank", "selftest-rank",
-             "eval-pair", "compare-method"],
+             "eval-pair", "compare-method", "generate-backend", "adapt-backend", "answer-backend",
+             "eval-backend", "compare-backend"],
     )
-    def test_stray_flag_is_an_argparse_error(self, tmp_path, hybrid_name, bench_path, capsys, argv):
+    def test_stray_flag_is_an_argparse_error(self, tmp_path, hybrid_backend, bench_path, capsys, argv):
         out = tmp_path / "x"
-        run = ["--backend", hybrid_name, "--benchmark", str(bench_path), "--out", str(out)]
+        run = ["--benchmark", str(bench_path), "--out", str(out)]
         with pytest.raises(SystemExit) as caught:
             run_command(argv + (run if argv[0] != "selftest" else []))
         assert caught.value.code == 2
@@ -547,11 +564,11 @@ class TestCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "adapt", "answer"])
-    def test_stages_reject_another_method(self, tmp_path, hybrid_name, bench_path, capsys, command):
+    def test_stages_reject_another_method(self, tmp_path, hybrid_backend, bench_path, capsys, command):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"method": "tent"}))
         code = run_command(
-            [command, "--config", str(path), "--backend", hybrid_name,
+            [command, "--config", str(path),
              "--benchmark", str(bench_path), "--out", str(tmp_path / "x")]
         )
         assert code == 1
@@ -560,11 +577,11 @@ class TestCommands:
         )
         assert not (tmp_path / "x").exists()
 
-    def test_compare_rejects_a_config_method(self, tmp_path, hybrid_name, bench_path, capsys):
+    def test_compare_rejects_a_config_method(self, tmp_path, hybrid_backend, bench_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"method": "tent"}))
         code = run_command(
-            ["compare", "--config", str(path), "--methods", "base", "--backend", hybrid_name,
+            ["compare", "--config", str(path), "--methods", "base",
              "--benchmark", str(bench_path), "--out", str(tmp_path / "x")]
         )
         assert code == 1
@@ -576,7 +593,7 @@ class TestCommands:
         # the default, spelled out, is not a conflict
         path.write_text(json.dumps({"method": "quest"}))
         code = run_command(
-            ["compare", "--config", str(path), "--methods", "base", "--backend", hybrid_name,
+            ["compare", "--config", str(path), "--methods", "base",
              "--benchmark", str(bench_path), "--out", str(tmp_path / "y"), *COMMON]
         )
         assert code == 0
@@ -614,14 +631,14 @@ class TestCommands:
              "generate-gen-temperature-nan"],
     )
     def test_unusable_settings_fail_before_any_item(
-        self, tmp_path, hybrid_name, bench_path, capsys, argv, config, message
+        self, tmp_path, hybrid_backend, bench_path, capsys, argv, config, message
     ):
         if config is not None:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(config))
             argv = argv + ["--config", str(path)]
         code = run_command(
-            argv + ["--backend", hybrid_name, "--benchmark", str(bench_path),
+            argv + ["--benchmark", str(bench_path),
                     "--out", str(tmp_path / "x")]
         )
         assert code == 1
@@ -641,24 +658,24 @@ class TestCommands:
         ids=["eval-rank-0", "eval-rank-100", "compare-unknown-module", "adapt-rank-0"],
     )
     def test_unbuildable_adapter_fails_before_run_dir(
-        self, tmp_path, hybrid_name, bench_path, capsys, argv, config, message
+        self, tmp_path, hybrid_backend, bench_path, capsys, argv, config, message
     ):
         if config is not None:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(config))
             argv = argv + ["--config", str(path)]
         code = run_command(
-            argv + ["--backend", hybrid_name, "--benchmark", str(bench_path),
+            argv + ["--benchmark", str(bench_path),
                     "--out", str(tmp_path / "x")]
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x" / "config.json").exists()
 
-    def test_sc_samples_error_names_the_flag(self, tmp_path, hybrid_name, bench_path, capsys):
+    def test_sc_samples_error_names_the_flag(self, tmp_path, hybrid_backend, bench_path, capsys):
         with pytest.raises(SystemExit):
             run_command(
-                ["compare", "--methods", "sc", "--sc-samples", "2,x", "--backend", hybrid_name,
+                ["compare", "--methods", "sc", "--sc-samples", "2,x",
                  "--benchmark", str(bench_path), "--out", str(tmp_path / "x")]
             )
         assert "argument --sc-samples: expected comma-separated integers, got '2,x'" in (
@@ -667,7 +684,7 @@ class TestCommands:
         assert not (tmp_path / "x").exists()
 
     def test_unknown_method_is_one_error_everywhere(
-        self, tmp_path, hybrid_name, bench_path, capsys
+        self, tmp_path, hybrid_backend, bench_path, capsys
     ):
         with pytest.raises(ValueError) as caught:
             load_config(None, {"method": "magic"})
@@ -677,13 +694,13 @@ class TestCommands:
         with pytest.raises(ValueError) as caught:
             evaluate(session, [BenchmarkItem(id="i", problem="p", answer="1")], "magic")
         assert str(caught.value) == message
-        args = ["--backend", hybrid_name, "--benchmark", str(bench_path), "--out", str(tmp_path)]
+        args = ["--benchmark", str(bench_path), "--out", str(tmp_path)]
         for argv in (["eval", "--method", "magic"], ["compare", "--methods", "base,magic"]):
             assert run_command(argv + args) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_sweep_fits_every_item_before_answering(
-        self, tmp_path, hybrid_name, bench_path, monkeypatch
+        self, tmp_path, hybrid_backend, bench_path, monkeypatch
     ):
         """evaluate and compare run each item's runner from engine.METHODS,
         with the session first and the query second, in item order, and
@@ -718,7 +735,7 @@ class TestCommands:
             ]
 
         code = run_command(
-            ["compare", "--methods", "base,quest,tent", "--backend", hybrid_name,
+            ["compare", "--methods", "base,quest,tent",
              "--benchmark", str(bench_path), "--out", str(tmp_path / "c"), *COMMON, "--steps", "1"]
         )
         assert code == 0 and events == want(["base", "quest", "tent"])
@@ -729,40 +746,40 @@ class TestCommands:
             evaluate(session, items, method, opt_cfg=OptConfig(steps=1))
         assert events == want(["base", "quest"])
 
-    def test_compare_rejects_repeated_method(self, tmp_path, hybrid_name, bench_path, capsys):
+    def test_compare_rejects_repeated_method(self, tmp_path, hybrid_backend, bench_path, capsys):
         code = run_command(
-            ["compare", "--methods", "base,sc,self_consistency", "--backend", hybrid_name,
+            ["compare", "--methods", "base,sc,self_consistency",
              "--benchmark", str(bench_path), "--out", str(tmp_path / "x")]
         )
         assert code == 1
         assert "self_consistency more than once" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_eval_rejects_sc_budget_list(self, tmp_path, hybrid_name, bench_path, capsys):
+    def test_eval_rejects_sc_budget_list(self, tmp_path, hybrid_backend, bench_path, capsys):
         code = run_command(
-            ["eval", "--method", "sc", "--sc-samples", "2,4", "--backend", hybrid_name,
+            ["eval", "--method", "sc", "--sc-samples", "2,4",
              "--benchmark", str(bench_path), "--out", str(tmp_path / "x")]
         )
         assert code == 1
         assert "one self-consistency budget" in capsys.readouterr().err
 
-    def test_conflicting_method_keys_rejected(self, tmp_path, hybrid_name, bench_path, capsys):
+    def test_conflicting_method_keys_rejected(self, tmp_path, hybrid_backend, bench_path, capsys):
         code = run_command(
-            ["eval", "--method", "base", "--sc-samples", "4", "--backend", hybrid_name,
+            ["eval", "--method", "base", "--sc-samples", "4",
              "--benchmark", str(bench_path), "--out", str(tmp_path / "x")]
         )
         assert code == 1
         assert "conflicting method-specific keys" in capsys.readouterr().err
 
-    def test_rerun_from_echoed_config_reproduces(self, tmp_path, hybrid_name, bench_path):
+    def test_rerun_from_echoed_config_reproduces(self, tmp_path, hybrid_backend, bench_path):
         out1 = tmp_path / "r1"
         assert run_command(
-            ["eval", "--method", "quest", "--backend", hybrid_name,
+            ["eval", "--method", "quest",
              "--benchmark", str(bench_path), "--out", str(out1)] + COMMON
         ) == 0
         out2 = tmp_path / "r2"
         assert run_command(
-            ["eval", "--config", str(out1 / "config.json"), "--backend", hybrid_name,
+            ["eval", "--config", str(out1 / "config.json"),
              "--benchmark", str(bench_path), "--out", str(out2)]
         ) == 0
 
@@ -775,36 +792,36 @@ class TestCommands:
 
         assert essence(out1) == essence(out2)
 
-    def test_answer_without_adapter_uses_base(self, tmp_path, hybrid_name, bench_path):
+    def test_answer_without_adapter_uses_base(self, tmp_path, hybrid_backend, bench_path):
         out = tmp_path / "ans"
         code = run_command(
-            ["answer", "--backend", hybrid_name, "--benchmark", str(bench_path),
+            ["answer", "--benchmark", str(bench_path),
              "--item-id", "it0", "--out", str(out)] + ANSWER
         )
         assert code == 0
         assert (out / "it0" / "answer.txt").exists()
 
     def test_answer_rejects_adapter_for_unknown_module(
-        self, tmp_path, hybrid_name, bench_path, capsys
+        self, tmp_path, hybrid_backend, bench_path, capsys
     ):
         mods = [AdaptableModuleInfo("layers.9.attn.q", 64, 64)]
         path = tmp_path / "ghost.qsta"
         save_adapter(init_adapter(spec_for_all_modules(mods, rank=2), mods), path)
         code = run_command(
-            ["answer", "--backend", hybrid_name, "--benchmark", str(bench_path),
+            ["answer", "--benchmark", str(bench_path),
              "--item-id", "it0", "--adapter", str(path), "--out", str(tmp_path / "ans")] + ANSWER
         )
         assert code == 1
         assert capsys.readouterr().err == "error: unknown target modules: layers.9.attn.q\n"
         assert not (tmp_path / "ans").exists()  # neither config.json nor answer.txt
 
-    def test_answer_rejects_adapter_of_wrong_shape(self, tmp_path, hybrid_name, bench_path, capsys):
+    def test_answer_rejects_adapter_of_wrong_shape(self, tmp_path, hybrid_backend, bench_path, capsys):
         # the module names exist, but the factors were built for a d=32 model
         mods = [AdaptableModuleInfo("layers.0.attn.q", 32, 32)]
         path = tmp_path / "narrow.qsta"
         save_adapter(init_adapter(spec_for_all_modules(mods, rank=2), mods), path)
         code = run_command(
-            ["answer", "--backend", hybrid_name, "--benchmark", str(bench_path),
+            ["answer", "--benchmark", str(bench_path),
              "--item-id", "it0", "--adapter", str(path), "--out", str(tmp_path / "ans")] + ANSWER
         )
         assert code == 1
@@ -815,9 +832,9 @@ class TestCommands:
         assert not (tmp_path / "ans").exists()
 
 
-    def test_answer_rejects_missing_adapter_file(self, tmp_path, hybrid_name, bench_path, capsys):
+    def test_answer_rejects_missing_adapter_file(self, tmp_path, hybrid_backend, bench_path, capsys):
         code = run_command(
-            ["answer", "--backend", hybrid_name, "--benchmark", str(bench_path), "--item-id", "it0",
+            ["answer", "--benchmark", str(bench_path), "--item-id", "it0",
              "--adapter", str(tmp_path / "absent.qsta"), "--out", str(tmp_path / "ans")] + ANSWER
         )
         assert code == 1

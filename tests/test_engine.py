@@ -453,7 +453,7 @@ class TestSelfConsistency:
         with pytest.raises(ValueError):
             self_consistency(sess, q, 2, 0.0)
         for temperature in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite temperature > 0"):
+            with pytest.raises(ValueError, match="sc_temperature must be finite and > 0"):
                 self_consistency(sess, q, 2, temperature)
 
 

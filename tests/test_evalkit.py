@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from dataclasses import asdict
@@ -347,7 +348,7 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "budgets, temperature, message",
         [
-            ((2,), 0.0, "temperature > 0"),
+            ((2,), 0.0, "sc_temperature must be finite and > 0, got 0.0"),
             ((0,), 0.8, "positive budgets"),
             ((), 0.8, "positive budgets"),
             ((4, -1), 0.8, "positive budgets"),
@@ -560,6 +561,15 @@ class TestEmitReport:
         rows = paths["results"].read_text().splitlines()
         assert rows[0] == "method,benchmark,accuracy,mean_tokens,mean_seconds"
         assert rows[1].startswith("base,toy,0.7000,10.00")
+
+    @pytest.mark.parametrize("name", ["math,v2", 'say "hi"', 'a,"b",c'])
+    def test_benchmark_name_is_one_field(self, tmp_path, name):
+        records = [make_record("base", "i0", True, 3, seconds=0.1)]
+        paths = emit_report(records, tmp_path, benchmark=name)
+        with open(paths["results"], newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows[1] == ["base", name, "1.0000", "3.00", "0.1000"]
+        assert all(len(row) == 5 for row in rows)
 
     def test_curve_tokens_increase_with_samples(self, tmp_path):
         records = []
