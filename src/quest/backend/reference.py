@@ -17,11 +17,20 @@ from a training rng.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import hashlib
 import math
+import os
+import pickle
+import signal
+import threading
+import traceback
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +57,19 @@ _STACK_TOKENS = 128
 # and 60.4 at 16; 9.6, 12.0 and 55.0 at 32. One sampled chunk grows peak RSS
 # by 4.6 MB at 16 rows and 6.9 MB at 32, in a fresh process, against 5.9 MB
 # for one item's 8 samples decoded together with copying compaction before.
+# Chunks are dealt to _DECODE_PROCS processes in turn, so 144 sc rows decode
+# as nine chunks of 16 dealt 5/4 on two CPUs. Rounding each group's chunk
+# count up to a multiple of the process count (ten chunks of 14-15, 72 rows
+# each) read query_s 0.0278 s median against 0.0284 s on bench/run.py
+# compare_baselines (2 vCPUs, 10 s, seeds 71-76, default BLAS threads),
+# winning 2 pairs, losing 2 and tying 2, so chunks keep the size above.
 _LOCKSTEP_ROWS = 16
+
+# Processes one prefetch call decodes its chunks on: this one, and a forked
+# child for each further CPU this process may run on, up to one per chunk.
+# Read once at import, as the row cap is a constant. The affinity mask is
+# the whole count: a cgroup CPU quota below it is not read.
+_DECODE_PROCS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 DEFAULT_CHARSET = "\n\t" + "".join(chr(c) for c in range(32, 127))
 
@@ -335,9 +356,9 @@ class _RefCore:
         def t(g: np.ndarray) -> np.ndarray:
             return g.swapaxes(-1, -2)
 
-        def adapted_bwd(dout: np.ndarray, name: str, lin_cache) -> np.ndarray:
+        def adapted_bwd(dout: np.ndarray, name: str, lin_cache, need_dx: bool = True) -> Optional[np.ndarray]:
             xin, branch_in, h, mask, fac = lin_cache
-            dx = dout @ p[name]
+            dx = dout @ p[name] if need_dx else None
             if base_grads:
                 base[name] = t(dout) @ xin
             if fac is not None:
@@ -345,10 +366,11 @@ class _RefCore:
                 dh = scaling * (dout @ B)
                 if not base_grads:
                     adapter_grads[name] = (t(dh) @ branch_in, scaling * (t(dout) @ h))
-                dbranch = dh @ A
-                if mask is not None:
-                    dbranch = dbranch * mask
-                dx = dx + dbranch
+                if need_dx:
+                    dbranch = dh @ A
+                    if mask is not None:
+                        dbranch = dbranch * mask
+                    dx = dx + dbranch
             return dx
 
         dxf = dlogits @ p["lm_head"]
@@ -357,7 +379,17 @@ class _RefCore:
         dx = _rmsnorm_bwd(dxf, cache["final_in"], cache["final_inv"])
         heads, merged = (*lead, T, H, hd), (*lead, T, cfg.d_model)
 
-        for li in range(cfg.n_layer - 1, -1, -1):
+        def adapted(lc: dict, module: str) -> bool:
+            return lc[f"{module}_cache"][4] is not None
+
+        # adapter gradients read nothing below the lowest adapted module: the
+        # backward stops in its layer, once those modules' factors have theirs
+        lowest = 0 if base_grads else min(
+            (li for li, lc in enumerate(cache["layers"]) if any(adapted(lc, m) for m in "qkvo")),
+            default=cfg.n_layer,
+        )
+
+        for li in range(cfg.n_layer - 1, lowest - 1, -1):
             lc = cache["layers"][li]
             # MLP block
             dh_act = dx @ p[f"layers.{li}.mlp.fc2"]
@@ -370,21 +402,36 @@ class _RefCore:
             dx = dx + _rmsnorm_bwd(db, lc["mlp_in"], lc["b_inv"])
 
             # attention block, in the forward's head-major (..., H, T, hd) layout
-            dattn = adapted_bwd(dx, f"layers.{li}.attn.o", lc["o_cache"])
+            floor = not base_grads and li == lowest
+            wanted = [m for m in "qkv" if not floor or adapted(lc, m)]
+            dattn = adapted_bwd(dx, f"layers.{li}.attn.o", lc["o_cache"], need_dx=bool(wanted))
+            if not wanted:
+                break
             dattn_h = dattn.reshape(heads).swapaxes(-3, -2)
             probs, vh, qh, kh = lc["probs"], lc["vh"], lc["qh"], lc["kh"]
-            dprobs = dattn_h @ t(vh)
-            dvh = t(probs) @ dattn_h
-            dscores = probs * (dprobs - (probs * dprobs).sum(axis=-1, keepdims=True))
-            dqh = (dscores @ kh) * inv_sqrt
-            dkh = (t(dscores) @ qh) * inv_sqrt
+            dheads = {}
+            if "q" in wanted or "k" in wanted:
+                dprobs = dattn_h @ t(vh)
+                dscores = probs * (dprobs - (probs * dprobs).sum(axis=-1, keepdims=True))
+                if "q" in wanted:
+                    dheads["q"] = (dscores @ kh) * inv_sqrt
+                if "k" in wanted:
+                    dheads["k"] = (t(dscores) @ qh) * inv_sqrt
+            if "v" in wanted:
+                dheads["v"] = t(probs) @ dattn_h
 
-            def to_flat(g):
-                return g.swapaxes(-3, -2).reshape(merged)
-
-            da = adapted_bwd(to_flat(dqh), f"layers.{li}.attn.q", lc["q_cache"])
-            da += adapted_bwd(to_flat(dkh), f"layers.{li}.attn.k", lc["k_cache"])
-            da += adapted_bwd(to_flat(dvh), f"layers.{li}.attn.v", lc["v_cache"])
+            das = [
+                adapted_bwd(
+                    dheads[m].swapaxes(-3, -2).reshape(merged), f"layers.{li}.attn.{m}", lc[f"{m}_cache"],
+                    need_dx=not floor,
+                )
+                for m in wanted
+            ]
+            if floor:
+                break
+            da, dk, dv = das
+            da += dk
+            da += dv
             dx = dx + _rmsnorm_bwd(da, lc["attn_in"], lc["a_inv"])
 
         if base_grads:
@@ -514,6 +561,135 @@ def _compact(kv: list, rows: Optional[_RowFactors], keep: list[int], filled: int
         factors = {name: (a[:n], b[:n]) for name, (a, b) in rows.factors.items()}
         rows = _RowFactors(factors, rows.scaling)
     return kv, rows
+
+
+def _shares(sizes: Sequence[int], procs: int) -> list[list[tuple[int, int, int]]]:
+    """Deal groups of ``sizes[g]`` rows to at most ``procs`` shares of
+    chunks ``(g, lo, hi)``, rows ``lo:hi`` of group g.
+
+    Each group is cut into as few balanced chunks as ``_LOCKSTEP_ROWS``
+    allows, and chunk j of the call goes to share ``j % procs``, so there
+    are never more shares than chunks.
+    """
+    chunks = []
+    for g, n in enumerate(sizes):
+        n_chunks = -(-n // _LOCKSTEP_ROWS)
+        bounds = [n * c // n_chunks for c in range(n_chunks + 1)]
+        chunks += [(g, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return [chunks[s::procs] for s in range(min(procs, len(chunks)))]
+
+
+@functools.cache
+def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """The getter and setter of the thread count of the OpenBLAS that numpy's
+    wheel bundles, or None where numpy uses another BLAS. The symbols belong
+    to that wheel (``scipy_openblas``), so they are looked up by name."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*.so*")
+    for path in glob.glob(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its
+    count; a no-op where that count cannot be set.
+
+    With one process per CPU decoding, a second BLAS thread in each only
+    contends: OpenBLAS's idle threads spin. On bench/'s ``self_generated``
+    (2 vCPUs, default BLAS threads, 10 s runs), forked decoding without this
+    read query_s 0.0906 s median against 0.0818 s in one process, slower in
+    4 of 4 pairs (seeds 81-84); with it, 0.0799 s against 0.0797 (seeds
+    91-94). Outputs on bench/'s model were byte-identical either way, and
+    ``quest selftest`` compares forked with in-process bytes.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
+def _fork_map(fn: Callable[[Any], Any], shares: Sequence[Any]) -> list:
+    """``[fn(share) for share in shares]``, the first share computed in this
+    process and each other in a child forked for it, each on one BLAS thread
+    (``_one_blas_thread``).
+
+    A child inherits everything ``fn`` reads, so nothing is pickled on the
+    way in. It pickles its result to a pipe and leaves with ``os._exit``,
+    running no exit handler and flushing no inherited buffer. A share whose
+    fork fails is computed here. Every child is reaped before this returns,
+    and killed first when this raises; a child that fails, or whose result
+    arrives short, raises ``RuntimeError``.
+    """
+    if len(shares) < 2:
+        return [fn(share) for share in shares]
+    results: list = [None] * len(shares)
+    here = [0]
+    children: dict[int, tuple[int, Any]] = {}  # pid -> (share, read end of its pipe)
+    with _one_blas_thread():
+        try:
+            for i in range(1, len(shares)):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    here.append(i)
+                    continue
+                if pid == 0:  # the child: never returns into the caller's frames
+                    code = 1
+                    try:
+                        os.close(r)
+                        with os.fdopen(w, "wb") as pipe:
+                            pickle.dump(fn(shares[i]), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                        code = 0
+                    except BaseException:
+                        os.write(2, traceback.format_exc().encode())
+                    finally:
+                        os._exit(code)
+                os.close(w)
+                children[pid] = (i, os.fdopen(r, "rb"))
+            for i in here:
+                results[i] = fn(shares[i])
+            for pid in list(children):
+                i, pipe = children[pid]
+                data = pipe.read()
+                pipe.close()
+                status = os.waitpid(pid, 0)[1]
+                del children[pid]
+                code = os.waitstatus_to_exitcode(status)
+                if code:
+                    raise RuntimeError(f"decode worker {pid} exited with status {code}")
+                try:
+                    results[i] = pickle.loads(data)
+                except (EOFError, pickle.UnpicklingError) as exc:
+                    raise RuntimeError(f"decode worker {pid} sent {len(data)} bytes, a short result") from exc
+        except BaseException:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid, (_, pipe) in children.items():
+                pipe.close()
+                os.waitpid(pid, 0)
+    return results
 
 
 class ReferenceBackend:
@@ -761,8 +937,18 @@ class ReferenceBackend:
         adapter of equal values reads the same output. Repeated requests
         decode once; requests with nothing to decode and ones ``generate``
         rejects are skipped, so ``generate`` still raises for the last.
+
+        The chunks are dealt in turn to ``_DECODE_PROCS`` processes, one
+        per CPU this process may run on but never more than there are
+        chunks (``_shares``): this process decodes one share and a child
+        forked for this call decodes each other (``_fork_map``). A chunk's
+        outputs do not depend on its chunk-mates or on the process that
+        decodes it, so they are the same either way. Decoding stays in this process when there is one chunk
+        or one CPU, when ``os.fork`` is missing, when another Python thread
+        runs (forking it is unsafe), and for a share whose fork fails. On
+        Python 3.12 and later ``os.fork`` warns (``DeprecationWarning``)
+        when the process has other threads, such as OpenBLAS workers.
         """
-        held: dict[tuple, bytes] = {}
         groups: dict[tuple, dict[tuple, tuple]] = {}
         for prompt, max_new_tokens, temperature, adapter, seed in requests:
             try:
@@ -774,12 +960,14 @@ class ReferenceBackend:
             key, ids, digest = request
             setting = (len(ids), max_new_tokens, temperature, _spec_key(adapter))
             groups.setdefault(setting, {}).setdefault(key, (ids, digest, adapter))
-        for (_, max_new_tokens, temperature, _), group in groups.items():
-            rows = list(group.items())
-            n_chunks = -(-len(rows) // _LOCKSTEP_ROWS)
-            bounds = [len(rows) * c // n_chunks for c in range(n_chunks + 1)]
-            for lo, hi in zip(bounds, bounds[1:]):
-                keys, chunk = zip(*rows[lo:hi])
+        settings = list(groups)
+        rows = [list(group.items()) for group in groups.values()]
+
+        def decode(share: list[tuple[int, int, int]]) -> dict[tuple, bytes]:
+            held = {}
+            for g, lo, hi in share:
+                _, max_new_tokens, temperature, _ = settings[g]
+                keys, chunk = zip(*rows[g][lo:hi])
                 ids, digests, adapters = zip(*chunk)
                 try:
                     outs = self._decode(np.stack(ids), max_new_tokens, temperature, adapters, digests)
@@ -787,6 +975,13 @@ class ReferenceBackend:
                     continue
                 for key, out in zip(keys, outs):
                     held[key] = bytes(out)
+            return held
+
+        # a forked child is safe only where no other thread holds a lock
+        procs = _DECODE_PROCS if hasattr(os, "fork") and threading.active_count() == 1 else 1
+        held: dict[tuple, bytes] = {}
+        for part in _fork_map(decode, _shares([len(r) for r in rows], procs)):
+            held.update(part)
         self._held = held
 
     def _decode(

@@ -60,7 +60,11 @@ class Backend(Protocol):
     call; ``generate`` reads a held output (an adapter of equal factor
     values counts as the same) without decoding. It is optional; callers
     look it up with ``getattr`` and otherwise call ``generate`` alone, which
-    must return the same tokens either way.
+    must return the same tokens either way. The reference backend may decode
+    a call's chunks in child processes it forks for that call, one per CPU,
+    with the same outputs; it decodes in the calling process when there is
+    one chunk or one CPU, when ``os.fork`` is missing or fails, and when
+    another Python thread is running.
     """
 
     name: str

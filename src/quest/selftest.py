@@ -12,6 +12,9 @@ per check and returns a process exit code.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Sequence
+
 import numpy as np
 
 from .adapters import init_adapter, merge, spec_for_all_modules, unmerge
@@ -91,12 +94,14 @@ def check_merge_equivalence(backend, n_inputs: int, n_tokens: int) -> None:
         assert np.abs(restored[name] - arr).max() < 1e-5, f"unmerge failed for {name}"
 
 
-def check_gradient_fidelity(backend, n_coords: int, n_tokens: int) -> float:
+def check_gradient_fidelity(backend, n_coords: int, n_tokens: int, targets: Sequence[str] = ()) -> float:
     """Adapter gradients match central finite differences within relative
     error 1e-3 on coordinates taken from every factor in turn; ``backend``
-    must compute in float64. Returns the worst relative error."""
+    must compute in float64. The adapter targets ``targets``, or every
+    adaptable module when none are given. Returns the worst relative error."""
     mods = backend.adaptable_modules()
-    adapter = init_adapter(spec_for_all_modules(mods, rank=4, dropout=0.0, init_seed=3), mods)
+    spec = spec_for_all_modules(mods, rank=4, dropout=0.0, init_seed=3)
+    adapter = init_adapter(replace(spec, target_modules=tuple(targets) or spec.target_modules), mods)
     rng = np.random.default_rng(1)
     _random_factors(adapter, rng, 0.3)
     ids = rng.integers(1, backend.vocab_size, size=n_tokens).tolist()
@@ -136,12 +141,25 @@ def check_frozen_base(session, query, n_pairs: int, steps: int, generator_sessio
     assert backend.checksum() == before, "base parameters changed"
 
 
+def _prefetch_on(backend: ReferenceBackend, requests: list, procs: int) -> None:
+    """``backend.prefetch(requests)`` with its chunks dealt to ``procs``
+    decode processes."""
+    default = reference._DECODE_PROCS
+    reference._DECODE_PROCS = procs
+    try:
+        backend.prefetch(requests)
+    finally:
+        reference._DECODE_PROCS = default
+
+
 def check_prefetch_matches_generate() -> None:
     """One ``prefetch`` of mixed requests (with and without adapters, greedy
     and sampled, two budgets), then ``generate``, returns what ``generate``
     alone decodes; ``prefetch`` decodes each distinct request once, the
     read-backs decode nothing, and a prompt that fills the context window
-    decodes nothing. Decoded requests are counted as rows of prompt forwards."""
+    decodes nothing. Decoded requests are counted as rows of prompt forwards,
+    in one process. The same call dealt to forked decode workers holds the
+    same bytes: they are a property of this machine's CPU and BLAS."""
     cfg = RefConfig(charset="abcdefgh <>/:\n", n_layer=2, d_model=32, n_head=4, max_len=40)
     rng = np.random.default_rng(5)
     params = {name: rng.normal(0, 0.3, shape) for name, shape in param_shapes(cfg).items()}
@@ -172,9 +190,14 @@ def check_prefetch_matches_generate() -> None:
         return forward(ids, *args, **kwargs)
 
     lockstep._core.forward = counting
-    lockstep.prefetch(requests + skipped + [([1, cfg.vocab_size], 24, 1.5, adapters[1], 99)])
+    given = requests + skipped + [([1, cfg.vocab_size], 24, 1.5, adapters[1], 99)]
+    # counted in this process: a forked decode worker's forwards go uncounted
+    _prefetch_on(lockstep, given, procs=1)
     distinct = {(tuple(p), m, t, s if t else None, id(a)) for p, m, t, a, s in requests}
     assert sum(prompt_rows) == len(distinct), "prefetch did not decode each request once"
+    forked = ReferenceBackend(cfg, params)
+    _prefetch_on(forked, given, procs=max(2, reference._DECODE_PROCS))
+    assert forked._held == lockstep._held, "forked decode workers changed a prefetched output"
     prompt_rows.clear()
     ends = set()
     for prompt, budget, temperature, adapter, seed in requests + skipped:

@@ -1,10 +1,11 @@
+import os
 import re
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from quest.backend import CharTokenizer, RefConfig, ReferenceBackend, train_reference
+from quest.backend import CharTokenizer, RefConfig, ReferenceBackend, reference, train_reference
 from quest.backend.session import AdaptableModuleInfo, ModelSession
 from quest.supervision import format_answer_prompt
 
@@ -14,6 +15,22 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 SMALL_CFG = RefConfig(n_layer=2, d_model=32, n_head=4, max_len=256)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_left():
+    """The suite fails when any test leaves a child process behind, running
+    or unreaped: a forked decode worker must not outlive its call."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def one_decode_process(monkeypatch):
+    """``prefetch`` decodes every chunk in this process, so that a test that
+    counts ``_RefCore.forward`` calls sees all of them."""
+    monkeypatch.setattr(reference, "_DECODE_PROCS", 1)
 
 
 class StubBackend:

@@ -63,6 +63,22 @@ def test_criterion_2_gradient_fidelity():
     print(f"PASS criterion-2 gradient-fidelity (208 coords, worst rel {worst:.1e})")
 
 
+@pytest.mark.parametrize(
+    "targets",
+    [
+        ("layers.1.attn.q", "layers.1.attn.k", "layers.1.attn.v", "layers.1.attn.o"),
+        ("layers.0.attn.o",),
+        ("layers.0.attn.q", "layers.0.attn.v"),
+    ],
+    ids=["layer-1-only", "layer-0-o-only", "layer-0-q-v"],
+)
+def test_criterion_2_gradient_fidelity_partial_targets(targets):
+    """The backward stops at the lowest adapted module; the gradients of
+    adapters that leave modules out still match finite differences."""
+    worst = check_gradient_fidelity(random_backend("float64"), n_coords=16 * len(targets), n_tokens=24, targets=targets)
+    print(f"PASS criterion-2 gradient-fidelity {','.join(targets)} (worst rel {worst:.1e})")
+
+
 def test_criterion_3_merge_equivalence():
     """Merged vs adapted logits within 1e-5 absolute on 20 random inputs;
     merge -> unmerge recovers base within 1e-5."""

@@ -1,4 +1,7 @@
+import os
 import re
+import threading
+import time
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from quest.adapters import init_adapter, spec_for_all_modules
 from quest.backend import (
+    AdaptableModuleInfo,
     CharTokenizer,
     ModelSession,
     RefConfig,
@@ -174,8 +178,9 @@ class TestGenerate:
 
 
 @pytest.fixture
-def forward_shapes(monkeypatch):
-    """The shape of the ids of every ``_RefCore.forward`` call."""
+def forward_shapes(monkeypatch, one_decode_process):
+    """The shape of the ids of every ``_RefCore.forward`` call, all of them
+    in this process."""
     calls = []
     forward = _RefCore.forward
 
@@ -406,6 +411,177 @@ class TestPrefetch:
         calls.clear()
         assert len(backend.generate(prompts[0], 9, 0.0)) == 9
         assert calls == [(1, 2)] + [(1, 1)] * 8
+
+
+def _forking_requests(backend):
+    """Greedy and sampled requests over three prompt lengths, plain and under
+    two adapters of one spec, in more chunks than three processes take; then
+    one under factors too narrow for the model, whose chunk ``_decode``
+    rejects."""
+    mods = backend.adaptable_modules()
+    spec = spec_for_all_modules(mods, rank=2, alpha=4.0, init_seed=2)
+    rng = np.random.default_rng(4)
+    adapters = [None]
+    for seed in (2, 3):
+        adapter = init_adapter(replace(spec, init_seed=seed), mods)
+        for _, b in adapter.factors.values():
+            b[:] = rng.normal(0, 0.1, b.shape)
+        adapters.append(adapter)
+    narrow = init_adapter(spec, [AdaptableModuleInfo(m.name, 8, 8, m.dtype) for m in mods])
+    requests = [
+        (prompt, 24, temperature, adapters[seed % 3], seed)
+        for prompt, seed in _mixed_requests(backend)
+        for temperature in (0.0, 2.0)
+    ]
+    return requests + [(requests[0][0], 24, 2.0, narrow, 0)]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child ``os.fork`` starts."""
+    pids = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("procs", [1, 2, 3, 4])
+def test_dealing_puts_each_chunk_in_one_share(procs):
+    sizes = [144, 18, 1, 5, 33, 2]
+    shares = reference._shares(sizes, procs)
+    chunks = [chunk for share in shares for chunk in share]
+    assert len(shares) == min(procs, len(chunks))
+    for g, n in enumerate(sizes):
+        spans = sorted((lo, hi) for h, lo, hi in chunks if h == g)
+        # each row of the group is in exactly one chunk, as few as the row cap allows
+        assert [row for lo, hi in spans for row in range(lo, hi)] == list(range(n))
+        assert max(hi - lo for lo, hi in spans) - min(hi - lo for lo, hi in spans) <= 1
+        assert len(spans) == -(-n // reference._LOCKSTEP_ROWS)
+    # dealt in turn: the shares' chunk counts differ by at most one
+    assert max(map(len, shares)) - min(map(len, shares)) <= 1
+    assert reference._shares([144], 64) == [[(0, lo, lo + 16)] for lo in range(0, 144, 16)]
+
+
+class TestForkedPrefetch:
+    """``prefetch`` decodes its chunks on forked workers, one per CPU, and
+    holds the bytes that one process decodes."""
+
+    @pytest.mark.parametrize("procs", [2, 3])
+    def test_forked_outputs_equal_one_process(self, random_backend, monkeypatch, forks, procs):
+        requests = _forking_requests(random_backend)
+        held = {}
+        for n in (1, procs):
+            monkeypatch.setattr(reference, "_DECODE_PROCS", n)
+            backend = random_backend.with_params(random_backend.params)
+            backend.prefetch(requests)
+            held[n] = backend._held
+        assert len(forks) == procs - 1
+        _no_child_left()
+        assert held[procs] == held[1]
+        # every request decoded but the one under unfit factors, on both paths
+        assert len(held[1]) == len(requests) - 1
+        assert backend._request(*requests[-1])[0] not in held[1]
+
+    def test_a_failing_worker_raises_and_is_reaped(self, random_backend, monkeypatch, forks):
+        monkeypatch.setattr(reference, "_DECODE_PROCS", 2)
+        parent, decode = os.getpid(), ReferenceBackend._decode
+
+        def failing_in_worker(self, *args):
+            if os.getpid() != parent:
+                raise RuntimeError("worker fault")
+            return decode(self, *args)
+
+        monkeypatch.setattr(ReferenceBackend, "_decode", failing_in_worker)
+        backend = random_backend.with_params(random_backend.params)
+        with pytest.raises(RuntimeError, match=r"decode worker \d+ exited with status 1"):
+            backend.prefetch(_forking_requests(backend))
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_a_fault_here_kills_the_workers(self, random_backend, monkeypatch, forks):
+        monkeypatch.setattr(reference, "_DECODE_PROCS", 2)
+        parent, decode = os.getpid(), ReferenceBackend._decode
+
+        def slow_in_worker_failing_here(self, *args):
+            if os.getpid() == parent:
+                raise RuntimeError("fault here")
+            time.sleep(60)
+            return decode(self, *args)
+
+        monkeypatch.setattr(ReferenceBackend, "_decode", slow_in_worker_failing_here)
+        backend = random_backend.with_params(random_backend.params)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="fault here"):
+            backend.prefetch(_forking_requests(backend))
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_each_process_decodes_on_one_blas_thread(self):
+        blas = reference._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS thread count cannot be set here")
+        get, put = blas
+        before = get()
+        put(2)
+        try:
+            assert reference._fork_map(lambda share: (share, get()), [0, 1, 2]) == [(0, 1), (1, 1), (2, 1)]
+            assert get() == 2
+        finally:
+            put(before)
+        _no_child_left()
+
+    @pytest.mark.parametrize("fallback", ["one-cpu", "second-thread", "fork-fails"])
+    def test_fallbacks_decode_in_this_process(self, random_backend, monkeypatch, fallback):
+        requests = _forking_requests(random_backend)
+        monkeypatch.setattr(reference, "_DECODE_PROCS", 1)
+        alone = random_backend.with_params(random_backend.params)
+        alone.prefetch(requests)
+        monkeypatch.setattr(reference, "_DECODE_PROCS", 1 if fallback == "one-cpu" else 2)
+        attempts = []
+
+        def refused():
+            attempts.append(fallback)
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refused)
+        prefilled = []
+        forward = _RefCore.forward
+
+        def counting(self, ids, *args, **kwargs):
+            out = forward(self, ids, *args, **kwargs)
+            if kwargs.get("kv") is not None and not kwargs.get("start"):
+                prefilled.append(np.shape(ids)[0])  # one row per decoded request
+            return out
+
+        monkeypatch.setattr(_RefCore, "forward", counting)
+        backend = random_backend.with_params(random_backend.params)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        if fallback == "second-thread":
+            other.start()
+        try:
+            backend.prefetch(requests)
+        finally:
+            release.set()
+            if other.is_alive():
+                other.join(timeout=30)
+        assert not other.is_alive()
+        assert backend._held == alone._held
+        assert sum(prefilled) == len(alone._held)
+        assert attempts == (["fork-fails"] if fallback == "fork-fails" else [])
 
 
 def _cached_chunk_logits(backend, ids, n_prompt, adapter):

@@ -385,7 +385,7 @@ class TestCommands:
         assert [r["n_samples"] for r in separate] == [1] * 3 + [2] * 3 + [4] * 3
 
     def test_compare_decodes_each_pair_request_once(
-        self, tmp_path, bench_path, untrained_checkpoint, monkeypatch
+        self, tmp_path, bench_path, untrained_checkpoint, monkeypatch, one_decode_process
     ):
         requests, prefills = [], []
         generate, forward = ReferenceBackend.generate, _RefCore.forward
@@ -418,7 +418,7 @@ class TestCommands:
         assert len(decoded) == len(requests) == 2 * len(set(requests))
 
     def test_compare_draws_each_item_once_for_every_budget_and_emits_ascending(
-        self, tmp_path, bench_path, untrained_checkpoint, monkeypatch, capsys
+        self, tmp_path, bench_path, untrained_checkpoint, monkeypatch, one_decode_process, capsys
     ):
         requests, sampled = [], []
         generate, forward = ReferenceBackend.generate, _RefCore.forward

@@ -518,7 +518,7 @@ class TestLockstepAnswers:
         assert len(requests) == 3 * (1 + 1 + 4)
         assert lockstep == results(WithoutPrefetch(ref.with_params(ref.params)))
 
-    def test_a_failing_item_keeps_its_error(self, pattern_world, monkeypatch):
+    def test_a_failing_item_keeps_its_error(self, pattern_world, monkeypatch, one_decode_process):
         ref = pattern_world["backend"]
         items = [BenchmarkItem(id=f"i{k}", problem=f"Q: {sym} ->\nA:", answer="x") for k, sym in enumerate("dkpq")]
         items.insert(2, BenchmarkItem(id="long", problem="Q: " + "d" * ref.max_len, answer="x"))

@@ -161,7 +161,7 @@ class TestGenerateDataset:
         generate_dataset(sess, Query(id="q", text="x"), GenConfig(n_pairs=1, max_parse_retries=2))
         assert len(seeds_seen) == len(set(seeds_seen)) == 3
 
-    def test_first_attempts_decode_in_lockstep(self, fresh_backend, monkeypatch):
+    def test_first_attempts_decode_in_lockstep(self, fresh_backend, monkeypatch, one_decode_process):
         # an untrained model samples unparseable text, so every slot retries
         prefills = []
         forward = _RefCore.forward
